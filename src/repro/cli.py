@@ -75,9 +75,6 @@ def _build_parser() -> argparse.ArgumentParser:
     index.add_argument("--workers", type=int, default=None,
                        help="parallel build workers (default: "
                             "REPRO_BUILD_WORKERS; 1 = serial mining)")
-    index.add_argument("--shards", type=int, default=None,
-                       help="database partitions for a sharded build "
-                            "(default: REPRO_BUILD_SHARDS; 0 = one per worker)")
     index.add_argument("--out", type=Path, required=True)
 
     query = sub.add_parser("query", help="answer one query graph")
@@ -342,9 +339,7 @@ def _cmd_index(args) -> int:
     db = read_database(args.database)
     params = MiningParams(args.alpha, args.beta, args.max_edges)
     indexes = build_indexes(
-        db, params,
-        workers=args.workers, shards=args.shards,
-        progress=_index_progress,
+        db, params, workers=args.workers, progress=_index_progress
     )
     written = save_indexes(indexes, args.out)
     print(f"mined {len(indexes.frequent)} frequent fragments and "

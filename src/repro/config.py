@@ -39,33 +39,6 @@ def verification_workers() -> int:
     return os.cpu_count() or 1
 
 
-def pool_min_candidates() -> int:
-    """Candidate count below which batch verification stays serial
-    (``REPRO_POOL_MIN_CANDIDATES``, default 64).
-
-    Chunking + IPC cost a few milliseconds per *Run*; below this many
-    candidates a pool cannot win them back, so the batch APIs run the
-    in-process path directly.  Floor of 1 (``0`` would pool empty batches).
-    """
-    try:
-        value = int(os.environ.get("REPRO_POOL_MIN_CANDIDATES", "64"))
-    except ValueError:
-        value = 64
-    return max(value, 1)
-
-
-def pool_warm() -> bool:
-    """Whether the verification pool persists across batches
-    (``REPRO_POOL_WARM``, default on).
-
-    Warm mode keeps one long-lived pool attached to the shared-memory index
-    arena; each *Run* dispatches into already-running workers instead of
-    paying fork/spawn startup.  ``REPRO_POOL_WARM=0`` restores the
-    pool-per-call behaviour (what the cold-dispatch benchmark measures).
-    """
-    return os.environ.get("REPRO_POOL_WARM", "1") not in ("0", "false", "no")
-
-
 def pool_idle_ttl() -> float:
     """Seconds an idle warm pool survives before the next dispatch respawns
     it (``REPRO_POOL_TTL``, default 300, ``0`` disables expiry)."""
@@ -76,29 +49,15 @@ def pool_idle_ttl() -> float:
     return max(value, 0.0)
 
 
-def arena_enabled() -> bool:
-    """Whether pooled verification ships work as ``(arena_version,
-    chunk_ids)`` against the shared-memory index plane (``REPRO_ARENA``,
-    default on).
-
-    With the arena on, the database's graphs, the candidate-algebra universe
-    mask and the A2F/A2I lookup tables are serialized once into a read-only
-    ``multiprocessing.shared_memory`` segment that every pool worker attaches
-    to at spawn; payloads shrink to id tuples.  ``REPRO_ARENA=0`` falls back
-    to pickling candidate graphs into every chunk payload (the reference
-    path the oracle matrix compares against).
-    """
-    return os.environ.get("REPRO_ARENA", "1") not in ("0", "false", "no")
-
-
 def build_workers() -> int:
     """Worker count for sharded parallel index builds (``REPRO_BUILD_WORKERS``).
 
     ``1`` (the default) keeps :func:`repro.index.build_indexes` on the
     serial mining path — bit-for-bit the historical behaviour.  ``N > 1``
     routes construction through the sharded pipeline
-    (:mod:`repro.index.sharded`): the database is partitioned, shards are
-    mined in parallel worker processes, and the shard catalogs are merged
+    (:mod:`repro.index.sharded`): the database is partitioned into one
+    shard per worker, shards are mined in parallel worker processes, and
+    the shard catalogs are merged
     with an exact global support recount.  ``0`` means one worker per CPU.
     The sharded build produces indexes equivalent to the serial build at
     any worker count (property-tested and oracle-pinned).
@@ -112,22 +71,6 @@ def build_workers() -> int:
     return os.cpu_count() or 1
 
 
-def build_shards() -> int:
-    """Number of database partitions for a sharded index build
-    (``REPRO_BUILD_SHARDS``, default ``0`` = one shard per build worker).
-
-    More shards than workers gives finer progress events at slightly more
-    merge work; fewer makes no sense and is clamped up to the worker count
-    by the builder.  Like every other knob, shard count never changes the
-    resulting indexes, only how the mining work is partitioned.
-    """
-    try:
-        value = int(os.environ.get("REPRO_BUILD_SHARDS", "0"))
-    except ValueError:
-        value = 0
-    return max(value, 0)
-
-
 def canonical_cache_size() -> int:
     """Bound on the process-wide canonical-code LRU (``REPRO_CANONICAL_CACHE``)."""
     try:
@@ -135,12 +78,6 @@ def canonical_cache_size() -> int:
     except ValueError:
         value = 8192
     return max(value, 0)
-
-
-def bitset_candidates() -> bool:
-    """Whether candidate-set algebra runs on int bitmasks (``REPRO_BITSET=0``
-    falls back to the frozenset reference path, kept for A/B checks)."""
-    return os.environ.get("REPRO_BITSET", "1") not in ("0", "false", "no")
 
 
 def trace_enabled() -> bool:

@@ -14,20 +14,15 @@ option dialogue).
 
 The Φ/Υ intersection runs on int bitmasks (:mod:`repro.core.candidates`) —
 graph ids are dense, so each AND is word-parallel — ordered smallest
-candidate list first with an early exit on empty.  ``REPRO_BITSET=0`` selects
-:func:`exact_sub_candidates_sets`, the frozenset reference implementation the
-equivalence tests compare against.
+candidate list first with an early exit on empty.
 """
 
 from __future__ import annotations
 
-from typing import FrozenSet, List, Optional
+from typing import FrozenSet
 
-from repro.config import bitset_candidates
 from repro.core.candidates import bits_of, ids_of, intersect_all
 from repro.index.builder import ActionAwareIndexes
-from repro.obs.metrics import count
-from repro.obs.recorder import RECORDER
 from repro.spig.spig import SpigVertex
 
 
@@ -36,7 +31,12 @@ def exact_sub_candidates(
     indexes: ActionAwareIndexes,
     db_ids: FrozenSet[int],
 ) -> FrozenSet[int]:
-    """``Rq`` for the fragment represented by ``vertex``."""
+    """``Rq`` for the fragment represented by ``vertex``.
+
+    The id-set form of :func:`exact_sub_candidates_bits`: indexed fragments
+    return their stored FSG ids as they are, and only the Φ/Υ intersection
+    of a NIF runs on bitmasks.
+    """
     fl = vertex.fragment_list
     if fl.dead:
         # The fragment uses a label absent from the database: no match.
@@ -50,13 +50,7 @@ def exact_sub_candidates(
         # information at all — no pruning is possible (cannot happen for
         # queries within the paper's ≤ 10-edge envelope).
         return db_ids
-    if bitset_candidates():
-        count("candidates.path.bitset")
-        RECORDER.transition("candidates.path", "bitset")
-        return ids_of(_phi_upsilon_bits(vertex, indexes, bits_of(db_ids)))
-    count("candidates.path.frozenset")
-    RECORDER.transition("candidates.path", "frozenset")
-    return exact_sub_candidates_sets(vertex, indexes, db_ids)
+    return ids_of(_phi_upsilon_bits(vertex, indexes, bits_of(db_ids)))
 
 
 def exact_sub_candidates_bits(
@@ -88,38 +82,3 @@ def _phi_upsilon_bits(
     masks = [indexes.a2f.fsg_bits(a2f_id) for a2f_id in fl.phi]
     masks += [indexes.a2i.fsg_bits(a2i_id) for a2i_id in fl.upsilon]
     return intersect_all(masks, db_bits)
-
-
-def exact_sub_candidates_sets(
-    vertex: SpigVertex,
-    indexes: ActionAwareIndexes,
-    db_ids: FrozenSet[int],
-) -> FrozenSet[int]:
-    """The frozenset reference path (pre-bitset Algorithm 3).
-
-    Kept for A/B equivalence checks and ``REPRO_BITSET=0``; intersects
-    smallest list first without copying the initial frozenset.
-    """
-    fl = vertex.fragment_list
-    if fl.dead:
-        return frozenset()
-    if fl.freq_id is not None:
-        return indexes.a2f.fsg_ids(fl.freq_id)
-    if fl.dif_id is not None:
-        return indexes.a2i.fsg_ids(fl.dif_id)
-    if not fl.phi and not fl.upsilon:
-        return db_ids
-    id_lists: List[FrozenSet[int]] = [
-        indexes.a2f.fsg_ids(a2f_id) for a2f_id in fl.phi
-    ]
-    id_lists += [indexes.a2i.fsg_ids(a2i_id) for a2i_id in fl.upsilon]
-    id_lists.sort(key=len)
-    # Neutral element of the AND-fold over constraints: the full universe
-    # (zero constraints prune nothing) — kept in lock-step with
-    # ``intersect_all``'s ``universe`` argument on the bitset path.
-    rq: Optional[FrozenSet[int]] = None
-    for ids in id_lists:
-        rq = ids if rq is None else rq & ids  # frozenset & -> frozenset
-        if not rq:
-            return frozenset()
-    return db_ids if rq is None else rq

@@ -1,17 +1,14 @@
 """The persistent verification pool and the process-wide arena registry.
 
-Before this module existed every ``_run_batch`` call built a fresh
-``multiprocessing.Pool`` — fork/spawn startup on *every* Run action — and
-pickled the candidate graphs into each chunk payload.  Both costs land
-squarely inside the SRT budget the paper optimizes, so this module keeps the
-machinery warm instead:
+A pool spawned per batch pays fork/spawn startup on every Run action, and
+pickling candidate graphs into each chunk payload pays again per chunk.  Both
+costs land squarely inside the SRT budget the paper optimizes, so this module
+keeps the machinery warm instead:
 
 * :func:`arena_for` maintains one shared-memory
   :class:`~repro.index.arena.IndexArena` per live database, keyed by the
   database object and invalidated whenever ``len(db)`` changes (``db.add()``
-  only ever appends).  Engines register their indexes via
-  :func:`register_index_plane` so the published arena also carries the
-  A2F/A2I lookup tables — the shared, immutable half of the engine state.
+  only ever appends).
 * :class:`WarmPool` is the long-lived pool: lazily spawned on the first
   parallel batch, reused while the worker count and arena version stay put,
   expired after :func:`repro.config.pool_idle_ttl` idle seconds, torn down
@@ -19,13 +16,13 @@ machinery warm instead:
   good at interpreter exit (so no orphaned processes or shared-memory
   segments survive pytest).
 * :func:`resolve_items` is the payload boundary: pooled chunks reference
-  candidates as ``("arena", version, ids)`` and workers materialize them
-  from the arena they attached at spawn (decoded graphs are memoised per
-  worker, so a graph crosses the pickle boundary zero times).
+  candidates as ``(version, ids)`` and workers materialize them from the
+  arena they attached at spawn (decoded graphs are memoised per worker, so
+  a graph crosses the pickle boundary zero times).
 
-Everything here is wall-clock machinery only: any failure degrades to the
-serial in-process path with identical answers
-(:mod:`repro.core.verification`).
+Everything here is wall-clock machinery only: any failure — including an
+arena that cannot be published — degrades to the serial in-process path
+with identical answers (:mod:`repro.core.verification`).
 """
 
 from __future__ import annotations
@@ -37,13 +34,10 @@ import time
 import weakref
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.config import arena_enabled, pool_idle_ttl, pool_warm
+from repro.config import pool_idle_ttl
 from repro.obs.metrics import count, gauge
 from repro.obs.profiler import profile_block
 from repro.obs.recorder import RECORDER
-
-#: Payload tag for arena-resident chunks (see :func:`resolve_items`).
-ARENA_REF = "arena"
 
 
 def _pool_context():
@@ -60,35 +54,16 @@ def _pool_context():
 _ARENAS: Dict[int, Tuple[Any, int, Any]] = {}
 #: arena version -> arena, for parent-side payload resolution (fallbacks).
 _BY_VERSION: Dict[str, Any] = {}
-#: id(db) -> ActionAwareIndexes to embed in that database's arena.
-_INDEX_PLANES: Dict[int, Any] = {}
 #: Serializes registry mutation: the service layer runs sessions on
 #: ``ThreadingHTTPServer`` threads, so two first-Run actions can race into
 #: ``arena_for`` (and the weakref death callback can fire on any thread).
 _REGISTRY_LOCK = threading.RLock()
 
 
-def register_index_plane(db, indexes) -> None:
-    """Declare ``indexes`` as the index plane for ``db``'s arena.
-
-    Cheap (a dict write); the arena itself is built lazily on the first
-    pooled batch.  Engines call this at construction so the published arena
-    carries the A2F/A2I lookup tables alongside the graphs.
-    """
-    _INDEX_PLANES[id(db)] = indexes
-
-
-def _drop_arena(key: int, drop_plane: bool = False) -> None:
-    """Dispose ``key``'s arena; keep its index plane unless the db died.
-
-    Invalidation (``db.add()`` grew the database) must preserve the plane
-    registration so the rebuilt arena still carries the A2F/A2I tables —
-    only the death of the database itself retires the plane.
-    """
+def _drop_arena(key: int) -> None:
+    """Dispose ``key``'s arena (the database grew or died)."""
     with _REGISTRY_LOCK:
         entry = _ARENAS.pop(key, None)
-        if drop_plane:
-            _INDEX_PLANES.pop(key, None)
         if entry is not None:
             _, _, arena = entry
             _BY_VERSION.pop(arena.version, None)
@@ -98,13 +73,10 @@ def _drop_arena(key: int, drop_plane: bool = False) -> None:
 def arena_for(db) -> Optional[Any]:
     """The published shared-memory arena for ``db`` (built on first use).
 
-    Returns ``None`` when the arena is disabled (``REPRO_ARENA=0``) or
-    shared memory is unavailable — callers then pickle candidates by value.
-    A stale entry (the database grew) is disposed and rebuilt, which also
-    forces the warm pool to respawn against the new version.
+    Returns ``None`` when shared memory is unavailable — callers then verify
+    serially.  A stale entry (the database grew) is disposed and rebuilt,
+    which also forces the warm pool to respawn against the new version.
     """
-    if not arena_enabled():
-        return None
     key = id(db)
     with _REGISTRY_LOCK:
         entry = _ARENAS.get(key)
@@ -119,12 +91,11 @@ def arena_for(db) -> Optional[Any]:
 
         start = time.perf_counter()
         with profile_block("arena.build"):
-            arena = IndexArena.build(db, indexes=_INDEX_PLANES.get(key))
+            arena = IndexArena.build(db)
         if arena.publish() is None:  # no shared memory on this platform
             arena.dispose()
             return None
-        _ARENAS[key] = (weakref.ref(db, lambda _r, k=key: _drop_arena(
-                            k, drop_plane=True)),
+        _ARENAS[key] = (weakref.ref(db, lambda _r, k=key: _drop_arena(k)),
                         len(db), arena)
         _BY_VERSION[arena.version] = arena
         count("arena.builds")
@@ -174,18 +145,15 @@ def _attach_worker_arena(name: Optional[str], version: Optional[str]) -> None:
         _WORKER_ARENA = None
 
 
-def resolve_items(items) -> Sequence[Tuple[int, Any]]:
-    """Materialize a chunk payload's ``(gid, graph)`` pairs.
+def resolve_items(ref: Tuple[str, Sequence[int]]) -> List[Tuple[int, Any]]:
+    """Materialize a chunk's ``(version, ids)`` reference as ``(gid, graph)``
+    pairs.
 
-    Inline payloads (a list of pairs) pass through.  Arena references —
-    ``(ARENA_REF, version, ids)`` tuples — resolve against the worker's
-    attached arena, or against the parent-side registry when the chunk runs
-    in-process (the serial fallback path).
+    Resolves against the worker's attached arena, or against the
+    parent-side registry when the chunk runs in-process (the serial
+    fallback path).
     """
-    if not (isinstance(items, tuple) and len(items) == 3
-            and items[0] == ARENA_REF):
-        return items
-    _, version, ids = items
+    version, ids = ref
     attached = _WORKER_ARENA
     if attached is not None and attached.version == version:
         return attached.items(ids)
@@ -294,26 +262,11 @@ class WarmPool:
             return self._pool
 
     def map(self, func, payloads: List, workers: int, arena=None) -> List:
-        """Run ``func`` over ``payloads`` on the warm (or a cold) pool.
+        """Run ``func`` over ``payloads`` on the warm pool.
 
-        Cold mode (``REPRO_POOL_WARM=0``) reproduces the historical
-        pool-per-call behaviour.  Any failure tears the warm pool down so
-        the next dispatch respawns cleanly, then propagates to the caller's
-        serial fallback.
+        Any failure tears the pool down so the next dispatch respawns
+        cleanly, then propagates to the caller's serial fallback.
         """
-        if not pool_warm():
-            count("verify.pool.cold_spawns")
-            RECORDER.transition("pool.dispatch", "cold")
-            name = version = None
-            if arena is not None:
-                name = arena.publish()
-                version = arena.version
-            with _pool_context().Pool(
-                workers,
-                initializer=_attach_worker_arena,
-                initargs=(name, version),
-            ) as pool:
-                return pool.map(func, payloads)
         pool = self._ensure(workers, arena)
         try:
             out = pool.map(func, payloads)

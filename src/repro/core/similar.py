@@ -15,18 +15,15 @@ answer is reported at its *minimum* distance, and returns the ranked list
 from __future__ import annotations
 
 import time
-from typing import Dict, FrozenSet, Iterator, List, Set
+from typing import FrozenSet, Iterator, List, Set
 
-from repro.config import bitset_candidates
 from repro.core.candidates import bits_of, iter_ids
-from repro.core.exact import exact_sub_candidates, exact_sub_candidates_bits
+from repro.core.exact import exact_sub_candidates_bits
 from repro.core.results import SimilarCandidates, SimilarityMatch
 from repro.core.verification import level_fragments_to_verify, sim_verify_scan
 from repro.graph.database import GraphDatabase
 from repro.index.builder import ActionAwareIndexes
 from repro.obs.histogram import observe
-from repro.obs.metrics import count
-from repro.obs.recorder import RECORDER
 from repro.obs.tracer import span
 from repro.query_graph import VisualQuery
 from repro.spig.manager import SpigManager
@@ -47,54 +44,26 @@ def similar_sub_candidates(
     top = q_size if include_exact_level else q_size - 1
     bottom = max(q_size - sigma, 1)
     out = SimilarCandidates()
-    use_bits = bitset_candidates()
-    db_bits = bits_of(db_ids) if use_bits else 0
+    db_bits = bits_of(db_ids)
     sim_start = time.perf_counter()
-    RECORDER.transition(
-        "candidates.path", "bitset" if use_bits else "frozenset"
-    )
     with span("candidates.similar", sigma=sigma) as outer:
-        count(
-            "candidates.path.bitset" if use_bits
-            else "candidates.path.frozenset"
-        )
         for level in range(top, bottom - 1, -1):
             with span("candidates.level", level=level) as sp:
-                if use_bits:
-                    # Word-parallel bucket accumulation: one OR per vertex,
-                    # one AND-NOT for Algorithm 4's line 7, ids materialised
-                    # once.
-                    free_bits = 0
-                    ver_bits = 0
-                    for vertex in manager.vertices_at_level(level):
-                        mask = exact_sub_candidates_bits(
-                            vertex, indexes, db_bits
-                        )
-                        if vertex.fragment_list.is_indexed:
-                            free_bits |= mask
-                        else:
-                            ver_bits |= mask
-                    ver_bits &= ~free_bits
-                    out.free[level] = set(iter_ids(free_bits))
-                    out.ver[level] = set(iter_ids(ver_bits))
-                else:
-                    free: Set[int] = set()
-                    ver: Set[int] = set()
-                    for vertex in manager.vertices_at_level(level):
-                        candidates = exact_sub_candidates(
-                            vertex, indexes, db_ids
-                        )
-                        if vertex.fragment_list.is_indexed:
-                            free |= candidates
-                        else:
-                            ver |= candidates
-                    # Already verification-free at this level (Alg 4, line 7).
-                    ver -= free
-                    out.free[level] = free
-                    out.ver[level] = ver
-                sp.set(
-                    free=len(out.free[level]), ver=len(out.ver[level])
-                )
+                # Word-parallel bucket accumulation: one OR per vertex, one
+                # AND-NOT for Algorithm 4's line 7 (ids already free at this
+                # level are not verified), ids materialised once.
+                free_bits = 0
+                ver_bits = 0
+                for vertex in manager.vertices_at_level(level):
+                    mask = exact_sub_candidates_bits(vertex, indexes, db_bits)
+                    if vertex.fragment_list.is_indexed:
+                        free_bits |= mask
+                    else:
+                        ver_bits |= mask
+                ver_bits &= ~free_bits
+                out.free[level] = set(iter_ids(free_bits))
+                out.ver[level] = set(iter_ids(ver_bits))
+                sp.set(free=len(out.free[level]), ver=len(out.ver[level]))
         outer.set(candidates=out.candidate_count)
     observe("candidates.similar", time.perf_counter() - sim_start)
     return out

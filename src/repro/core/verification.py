@@ -23,10 +23,10 @@ that attach to the database's shared-memory arena once at spawn, so chunk
 payloads carry ``(arena_version, chunk_ids)`` instead of pickled graphs.
 The worker count comes from :func:`repro.config.verification_workers`
 (``REPRO_WORKERS``; ``1`` = the serial path, deterministic and pool-free —
-what CI pins), and batches below
-:func:`repro.config.pool_min_candidates` candidates skip the pool entirely.
-Worker count, warm-vs-cold pool and arena-vs-inline payloads never affect
-*results*, only wall-clock: every path returns the same id sets.
+what CI pins).  Batches below :data:`POOL_MIN_CANDIDATES` candidates skip the
+pool entirely, and so does every batch whose arena cannot be published
+(counted as ``arena.unavailable``).  Worker count never affects *results*,
+only wall-clock: every path returns the same id sets.
 
 Telemetry is cross-process: every chunk runs under worker-local observation
 capture (:mod:`repro.obs.snapshot`) and returns its counter/histogram/
@@ -43,8 +43,8 @@ import time
 import warnings
 from typing import FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
-from repro.config import pool_min_candidates, verification_workers
-from repro.core.pool import ARENA_REF, POOL, arena_for, resolve_items
+from repro.config import verification_workers
+from repro.core.pool import POOL, arena_for, resolve_items
 from repro.graph.database import GraphDatabase
 from repro.graph.isomorphism import CompiledPattern, compile_pattern
 from repro.graph.labeled_graph import Graph
@@ -60,6 +60,13 @@ from repro.obs.snapshot import (
 from repro.obs.tracer import span
 from repro.spig.manager import SpigManager
 from repro.spig.spig import SpigVertex
+
+#: Candidate count below which batch verification stays serial.  Chunking
+#: plus IPC cost a few milliseconds per *Run*; below this many candidates a
+#: pool cannot win them back.  Tests and the oracle lower it on small
+#: corpora so their pooled cells really pool.
+POOL_MIN_CANDIDATES = 64
+
 
 def _chunks(ids: Sequence[int], size: int) -> List[Sequence[int]]:
     return [ids[i:i + size] for i in range(0, len(ids), size)]
@@ -107,22 +114,21 @@ def _test_fragments(compiled: List[CompiledPattern], items) -> List[int]:
 def _verify_chunk(payload) -> List[int]:
     """Worker: ids of the chunk's graphs that contain the pattern.
 
-    ``items`` is either inline ``(gid, graph)`` pairs or an
-    ``(arena_version, chunk_ids)`` reference that
+    ``ref`` is an ``(arena_version, chunk_ids)`` reference that
     :func:`repro.core.pool.resolve_items` materializes from the worker's
     attached shared-memory arena.
     """
-    pattern, items, label_freq = payload
+    pattern, ref, label_freq = payload
     return _test_pattern(
-        CompiledPattern(pattern, label_freq), resolve_items(items)
+        CompiledPattern(pattern, label_freq), resolve_items(ref)
     )
 
 
 def _sim_verify_chunk(payload) -> List[int]:
     """Worker: ids of the chunk's graphs containing *any* of the fragments."""
-    fragments, items, label_freq = payload
+    fragments, ref, label_freq = payload
     compiled = [CompiledPattern(f, label_freq) for f in fragments]
-    return _test_fragments(compiled, resolve_items(items))
+    return _test_fragments(compiled, resolve_items(ref))
 
 
 def _obs_chunk(args) -> Tuple[List[int], dict]:
@@ -262,6 +268,22 @@ def _run_batch(
     return out
 
 
+def _pool_arena(db: GraphDatabase, workers: int, candidates: int):
+    """The published arena when a batch should run on the pool, else ``None``.
+
+    ``None`` means "verify serially": one worker, a batch below
+    :data:`POOL_MIN_CANDIDATES`, or an arena that cannot be published
+    (no shared memory), which is counted as ``arena.unavailable``.
+    """
+    if workers == 1 or candidates < POOL_MIN_CANDIDATES:
+        return None
+    arena = arena_for(db)
+    if arena is None:
+        count("arena.unavailable")
+        RECORDER.record("arena.unavailable", candidates=candidates)
+    return arena
+
+
 def verify_batch(
     pattern: Graph,
     graph_ids: Iterable[int],
@@ -284,23 +306,18 @@ def verify_batch(
     start = time.perf_counter()
     with span("verify.scan", candidates=len(ids), workers=workers):
         label_freq = db.label_frequencies()
-        if workers == 1 or len(ids) < pool_min_candidates():
+        arena = _pool_arena(db, workers, len(ids))
+        if arena is None:
             count("verify.serial")
             compiled = compile_pattern(pattern, label_freq)
             out = _test_pattern(compiled, [(gid, db[gid]) for gid in ids])
         else:
-            arena = arena_for(db)
-            if arena is not None:
-                make_payload = lambda chunk: (
-                    pattern, (ARENA_REF, arena.version, tuple(chunk)),
-                    label_freq,
-                )
-            else:
-                make_payload = lambda chunk: (
-                    pattern, [(gid, db[gid]) for gid in chunk], label_freq
-                )
             out = _run_batch(
-                _verify_chunk, make_payload, ids, workers, arena=arena
+                _verify_chunk,
+                lambda chunk: (
+                    pattern, (arena.version, tuple(chunk)), label_freq
+                ),
+                ids, workers, arena=arena,
             )
     observe("verify.scan", time.perf_counter() - start)
     return out
@@ -330,32 +347,22 @@ def sim_verify_scan(
         candidates=len(ids), fragments=len(fragments), workers=workers,
     ):
         label_freq = db.label_frequencies()
-        if workers == 1 or len(ids) < pool_min_candidates():
+        arena = _pool_arena(db, workers, len(ids))
+        if arena is None:
             count("verify.serial")
             compiled = [CompiledPattern(f, label_freq) for f in fragments]
             out = set(
                 _test_fragments(compiled, [(gid, db[gid]) for gid in ids])
             )
         else:
-            arena = arena_for(db)
-            if arena is not None:
-                make_payload = lambda chunk: (
-                    list(fragments),
-                    (ARENA_REF, arena.version, tuple(chunk)),
+            out = set(_run_batch(
+                _sim_verify_chunk,
+                lambda chunk: (
+                    list(fragments), (arena.version, tuple(chunk)),
                     label_freq,
-                )
-            else:
-                make_payload = lambda chunk: (
-                    list(fragments),
-                    [(gid, db[gid]) for gid in chunk],
-                    label_freq,
-                )
-            out = set(
-                _run_batch(
-                    _sim_verify_chunk, make_payload, ids, workers,
-                    arena=arena,
-                )
-            )
+                ),
+                ids, workers, arena=arena,
+            ))
     observe("verify.sim", time.perf_counter() - start)
     return out
 

@@ -13,18 +13,27 @@ database and the mining parameters (used by the test/benchmark fixtures).
 from __future__ import annotations
 
 import hashlib
+import os
 import pickle
+import tempfile
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
-from repro.config import MiningParams, build_shards, build_workers
+from repro.config import MiningParams, build_workers
 from repro.graph.database import GraphDatabase
 from repro.index.a2f import A2FIndex
 from repro.index.a2i import A2IIndex
 from repro.mining.dif import mine_difs
 from repro.mining.fragments import FragmentCatalog
 from repro.mining.gspan import mine_frequent_fragments
+from repro.obs.metrics import count
+
+#: Version of the ``cache_dir`` file layout, part of every cache file name:
+#: bump it when the pickled catalogs change shape, so stale files are never
+#: read.
+CACHE_FORMAT = 2
 
 
 @dataclass
@@ -64,48 +73,66 @@ def build_indexes(
     params: Optional[MiningParams] = None,
     cache_dir: Optional[Path] = None,
     workers: Optional[int] = None,
-    shards: Optional[int] = None,
     progress=None,
 ) -> ActionAwareIndexes:
     """Mine and build the A2F/A2I indexes for ``db``.
 
     With ``cache_dir`` set, a previous build for the identical database and
-    parameters is loaded from disk instead of re-mined.
+    parameters is loaded from disk instead of re-mined.  A cache file that
+    cannot be read (truncated, or written by other code) is reported with a
+    ``RuntimeWarning``, counted as ``index.cache.corrupt``, rebuilt and
+    rewritten.  Files are written to a temporary name and renamed into
+    place, so a crashed writer never leaves a partial cache behind.
 
-    ``workers``/``shards`` default to the ``REPRO_BUILD_WORKERS`` /
-    ``REPRO_BUILD_SHARDS`` knobs.  ``workers == 1`` with default shards is
-    the serial mining path; anything else routes through the sharded
-    pipeline (:mod:`repro.index.sharded`), which produces equivalent indexes
-    and reports per-shard ``progress`` events (also mirrored into the flight
-    recorder, so ``repro top`` shows build progress).
+    ``workers`` defaults to the ``REPRO_BUILD_WORKERS`` knob.
+    ``workers == 1`` is the serial mining path; more workers route through
+    the sharded pipeline (:mod:`repro.index.sharded`) with one shard per
+    worker, which produces equivalent indexes and reports per-shard
+    ``progress`` events (also mirrored into the flight recorder, so
+    ``repro top`` shows build progress).
     """
     params = params or MiningParams()
     workers = build_workers() if workers is None else max(1, workers)
-    shards = build_shards() if shards is None else max(0, shards)
     cache_path: Optional[Path] = None
     if cache_dir is not None:
         cache_dir = Path(cache_dir)
         cache_dir.mkdir(parents=True, exist_ok=True)
-        cache_path = cache_dir / f"indexes_{database_fingerprint(db, params)}.pkl"
+        cache_path = cache_dir / (
+            f"indexes_v{CACHE_FORMAT}_{database_fingerprint(db, params)}.pkl"
+        )
         if cache_path.exists():
-            with cache_path.open("rb") as handle:
-                frequent, difs = pickle.load(handle)
-            return _assemble(db, params, frequent, difs)
+            try:
+                with cache_path.open("rb") as handle:
+                    frequent, difs = pickle.load(handle)
+            # Truncated data, a pickle of another shape, or classes that no
+            # longer import: all mean "rebuild", never "fail the build".
+            except (OSError, EOFError, pickle.UnpicklingError, ValueError,
+                    TypeError, AttributeError, ImportError) as exc:
+                count("index.cache.corrupt")
+                warnings.warn(
+                    f"index cache {cache_path} is unreadable "
+                    f"({type(exc).__name__}: {exc}); rebuilding",
+                    RuntimeWarning,
+                    stacklevel=2,
+                )
+            else:
+                return _assemble(db, params, frequent, difs)
 
-    if workers > 1 or shards > 1:
+    if workers > 1:
         from repro.index.sharded import mine_sharded
 
-        frequent, difs = mine_sharded(
-            db, params, workers, shards, progress=progress
-        )
+        frequent, difs = mine_sharded(db, params, workers, progress=progress)
     else:
         min_sup = params.absolute_support(len(db))
         frequent = mine_frequent_fragments(db, min_sup, params.max_fragment_edges)
         difs = mine_difs(db, frequent, min_sup, params.max_fragment_edges)
 
     if cache_path is not None:
-        with cache_path.open("wb") as handle:
+        with tempfile.NamedTemporaryFile(
+            "wb", dir=cache_path.parent, suffix=".tmp", delete=False
+        ) as handle:
             pickle.dump((frequent, difs), handle, protocol=pickle.HIGHEST_PROTOCOL)
+        os.replace(handle.name, cache_path)
     return _assemble(db, params, frequent, difs)
 
 

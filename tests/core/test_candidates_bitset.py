@@ -1,20 +1,19 @@
-"""Bitset candidate algebra agrees with the frozenset reference everywhere:
+"""Bitset candidate algebra agrees with plain set algebra everywhere:
 primitive ops, Algorithm 3's Φ/Υ intersection, Algorithm 4's Rfree/Rver
-buckets and Algorithm 6's deletion suggestion (REPRO_BITSET on vs off)."""
+buckets and Algorithm 6's deletion suggestion.
 
-import os
+The expected values are computed here, from the indexes' FSG-id sets with
+Python set operations (or, for the deletion suggestion, by brute force over
+every deletable edge) — independent of the bitmask code under test."""
+
 import random
-from contextlib import contextmanager
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import candidates as cand
-from repro.core.exact import (
-    exact_sub_candidates,
-    exact_sub_candidates_bits,
-    exact_sub_candidates_sets,
-)
+from repro.core.exact import exact_sub_candidates, exact_sub_candidates_bits
+from repro.core.modify import deletable_edges
 from repro.core.similar import similar_sub_candidates
 from repro.graph.generators import perturb_with_new_edge
 from repro.query_graph import VisualQuery
@@ -22,21 +21,6 @@ from repro.spig import SpigManager
 from repro.testing import connected_order, sample_subgraph
 
 id_sets = st.sets(st.integers(0, 200), max_size=60)
-
-
-@contextmanager
-def _bitset_mode(toggle: str):
-    """Flip REPRO_BITSET inside a hypothesis example (monkeypatch is
-    function-scoped and thus off-limits under @given)."""
-    old = os.environ.get("REPRO_BITSET")
-    os.environ["REPRO_BITSET"] = toggle
-    try:
-        yield
-    finally:
-        if old is None:
-            os.environ.pop("REPRO_BITSET", None)
-        else:
-            os.environ["REPRO_BITSET"] = old
 
 
 class TestPrimitives:
@@ -88,6 +72,23 @@ def _sample_query(seed, db):
     return q, rng.randint(1, 3)
 
 
+def _set_fold(vertex, indexes, db_ids):
+    """Algorithm 3 with frozenset intersections: the expected ``Rq``."""
+    fl = vertex.fragment_list
+    if fl.dead:
+        return frozenset()
+    if fl.freq_id is not None:
+        return indexes.a2f.fsg_ids(fl.freq_id)
+    if fl.dif_id is not None:
+        return indexes.a2i.fsg_ids(fl.dif_id)
+    rq = frozenset(db_ids)
+    for a2f_id in fl.phi:
+        rq &= indexes.a2f.fsg_ids(a2f_id)
+    for a2i_id in fl.upsilon:
+        rq &= indexes.a2i.fsg_ids(a2i_id)
+    return rq
+
+
 class TestAlgorithm3Equivalence:
     @given(seed=st.integers(0, 50_000))
     @settings(max_examples=30, deadline=None)
@@ -100,9 +101,7 @@ class TestAlgorithm3Equivalence:
         db_bits = cand.bits_of(db_ids)
         for level in range(1, query.num_edges + 1):
             for vertex in manager.vertices_at_level(level):
-                via_sets = exact_sub_candidates_sets(
-                    vertex, small_indexes, db_ids
-                )
+                via_sets = _set_fold(vertex, small_indexes, db_ids)
                 via_bits = cand.ids_of(
                     exact_sub_candidates_bits(vertex, small_indexes, db_bits)
                 )
@@ -110,57 +109,65 @@ class TestAlgorithm3Equivalence:
 
     @given(seed=st.integers(0, 50_000))
     @settings(max_examples=20, deadline=None)
-    def test_public_api_identical_under_toggle(
+    def test_public_api_agrees_with_set_fold(
         self, seed, small_db, small_indexes
     ):
-        """exact_sub_candidates returns the same Rq with REPRO_BITSET on/off."""
+        """exact_sub_candidates (the ids wrapper) returns the set-fold Rq."""
         q, _ = _sample_query(seed, small_db)
         query, manager = _spig_state(small_indexes, q)
         db_ids = frozenset(small_db.ids())
         vertex = manager.target_vertex(query)
-        with _bitset_mode("1"):
-            rq_bits = exact_sub_candidates(vertex, small_indexes, db_ids)
-        with _bitset_mode("0"):
-            rq_sets = exact_sub_candidates(vertex, small_indexes, db_ids)
-        assert rq_bits == rq_sets
+        assert exact_sub_candidates(vertex, small_indexes, db_ids) == (
+            _set_fold(vertex, small_indexes, db_ids)
+        )
 
 
 class TestAlgorithm4Equivalence:
     @given(seed=st.integers(0, 50_000))
     @settings(max_examples=20, deadline=None)
-    def test_rfree_rver_identical_under_toggle(
+    def test_rfree_rver_agree_with_set_algebra(
         self, seed, small_db, small_indexes
     ):
         q, sigma = _sample_query(seed, small_db)
         query, manager = _spig_state(small_indexes, q)
         db_ids = frozenset(small_db.ids())
-        buckets = {}
-        for toggle in ("1", "0"):
-            with _bitset_mode(toggle):
-                cands = similar_sub_candidates(
-                    query, sigma, manager, small_indexes, db_ids
-                )
-            buckets[toggle] = (
-                {lvl: set(cands.free_at(lvl)) for lvl in cands.levels()},
-                {lvl: set(cands.ver_at(lvl)) for lvl in cands.levels()},
-            )
-        assert buckets["1"] == buckets["0"]
+        cands = similar_sub_candidates(
+            query, sigma, manager, small_indexes, db_ids
+        )
+        for level in cands.levels():
+            free, ver = set(), set()
+            for vertex in manager.vertices_at_level(level):
+                rq = _set_fold(vertex, small_indexes, db_ids)
+                if vertex.fragment_list.is_indexed:
+                    free |= rq
+                else:
+                    ver |= rq
+            assert set(cands.free_at(level)) == free
+            assert set(cands.ver_at(level)) == ver - free
 
 
 class TestAlgorithm6Equivalence:
     @given(seed=st.integers(0, 50_000))
     @settings(max_examples=15, deadline=None)
-    def test_deletion_suggestion_identical_under_toggle(
+    def test_suggestion_matches_brute_force(
         self, seed, small_db, small_indexes
     ):
         from repro.core.modify import suggest_deletion
 
         q, _ = _sample_query(seed, small_db)
         query, manager = _spig_state(small_indexes, q)
-        suggestions = {}
-        for toggle in ("1", "0"):
-            with _bitset_mode(toggle):
-                suggestions[toggle] = suggest_deletion(
-                    query, manager, small_indexes, frozenset(small_db.ids())
-                )
-        assert suggestions["1"] == suggestions["0"]
+        db_ids = frozenset(small_db.ids())
+        ids = query.edge_id_set()
+        best = None
+        for eid in deletable_edges(query):
+            rest = ids - {eid}
+            if not rest:
+                continue
+            rq = _set_fold(manager.vertex_for(rest), small_indexes, db_ids)
+            if best is None or len(rq) > len(best[1]):
+                best = (eid, rq)
+        got = suggest_deletion(query, manager, small_indexes, db_ids)
+        if best is None:
+            assert got is None
+        else:
+            assert (got.edge_id, got.candidates) == best

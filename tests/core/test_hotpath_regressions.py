@@ -55,8 +55,8 @@ class TestEmptyIntersection:
     def test_matches_frozenset_reference_semantics(self):
         """The bitset fold and the frozenset fold agree on the neutral
         element: intersecting no constraint sets leaves every graph a
-        candidate, exactly like the ``db_ids`` fallback of the reference
-        path in exact.py."""
+        candidate, exactly like the ``db_ids`` fallback of
+        ``exact_sub_candidates``."""
         db_ids = frozenset(range(9))
         via_sets = frozenset.intersection(db_ids)  # fold seeded with universe
         via_bits = cand.ids_of(cand.intersect_all([], cand.bits_of(db_ids)))

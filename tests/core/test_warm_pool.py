@@ -1,11 +1,11 @@
 """The warm verification pool and the arena plane, end to end.
 
 Lifecycle (spawn once, reuse, respawn on reconfigure/TTL/breakage), the
-candidate-count floor, arena invalidation on ``db.add()``, the postmortem
-rate limiter, and the answer-invariance acceptance sweep: serial, warm pool,
-cold pool and arena-off must return byte-identical results — through plain
-``verify_batch`` calls and through the differential oracle's full-session
-replays.
+candidate-count floor, arena invalidation on ``db.add()``, the serial
+fallback when the arena cannot be published, the postmortem rate limiter,
+and the answer-invariance acceptance sweep: serial and warm pool must return
+byte-identical results — through plain ``verify_batch`` calls and through
+the differential oracle's full-session replays.
 """
 
 import os
@@ -31,7 +31,7 @@ from repro.testing import small_database
 @pytest.fixture(autouse=True)
 def _fresh_pool(monkeypatch):
     """Every test starts and ends poolless, with a low dispatch floor."""
-    monkeypatch.setenv("REPRO_POOL_MIN_CANDIDATES", "16")
+    monkeypatch.setattr(verif, "POOL_MIN_CANDIDATES", 16)
     pool_mod.shutdown()
     yield
     pool_mod.shutdown()
@@ -140,7 +140,7 @@ class TestWarmPoolLifecycle:
 
 class TestDispatchFloor:
     def test_small_batches_stay_serial(self, corpus, monkeypatch):
-        monkeypatch.setenv("REPRO_POOL_MIN_CANDIDATES", "1000")
+        monkeypatch.setattr(verif, "POOL_MIN_CANDIDATES", 1000)
         query = _query(corpus, seed=6)
         with obs.trace():
             verify_batch(query, list(corpus.ids()), corpus, workers=4)
@@ -149,7 +149,7 @@ class TestDispatchFloor:
         assert counters.get("verify.pool.runs", 0) == 0
 
     def test_floor_is_inclusive_below(self, corpus, monkeypatch):
-        monkeypatch.setenv("REPRO_POOL_MIN_CANDIDATES", "16")
+        monkeypatch.setattr(verif, "POOL_MIN_CANDIDATES", 16)
         query = _query(corpus, seed=6)
         with obs.trace():
             verify_batch(query, list(corpus.ids())[:15], corpus, workers=4)
@@ -172,31 +172,33 @@ class TestArenaPlane:
         assert second.version != version
         pool_mod.shutdown()
 
-    def test_arena_disabled_by_env(self, corpus, monkeypatch):
-        monkeypatch.setenv("REPRO_ARENA", "0")
-        assert pool_mod.arena_for(corpus) is None
+    def test_unpublishable_arena_verifies_serially(
+        self, corpus, monkeypatch
+    ):
+        """No shared memory: the pooled batch runs in-process, is counted,
+        spawns no pool and leaves no segment behind."""
+        import glob
 
-    def test_rebuild_after_db_add_keeps_index_plane(self):
-        """Regression: invalidation used to pop the plane registration, so
-        the rebuilt arena shipped without A2F/A2I tables."""
-        from repro.config import MiningParams
-        from repro.index import build_indexes
+        from repro.index.arena import IndexArena
 
-        db = small_database(seed=22, num_graphs=20)
-        indexes = build_indexes(
-            db, MiningParams(min_support=0.2, size_threshold=3,
-                             max_fragment_edges=4)
-        )
-        pool_mod.register_index_plane(db, indexes)
-        first = pool_mod.arena_for(db)
-        if first is None:
-            pytest.skip("shared memory unavailable on this platform")
-        assert first.has_section("a2f")
-        db.add(db[0].copy())
-        second = pool_mod.arena_for(db)
-        assert second is not first
-        assert second.has_section("a2f")
-        pool_mod.shutdown()
+        before = set(glob.glob("/dev/shm/psm_*"))
+        monkeypatch.setattr(IndexArena, "publish", lambda self: None)
+        query = _query(corpus, seed=10)
+        fragments = [_query(corpus, seed=s, edges=3) for s in (8, 9)]
+        ids = list(corpus.ids())
+        with obs.trace():
+            pooled = verify_batch(query, ids, corpus, workers=3)
+            pooled_sim = sim_verify_scan(fragments, ids, corpus, workers=3)
+            counters = obs.full_snapshot()["counters"]
+        assert pooled == verify_batch(query, ids, corpus, workers=1)
+        assert pooled_sim == sim_verify_scan(fragments, ids, corpus, workers=1)
+        assert counters.get("arena.unavailable", 0) == 2
+        assert counters.get("verify.serial", 0) == 2
+        assert counters.get("verify.pool.runs", 0) == 0
+        assert counters.get("verify.pool.spawns", 0) == 0
+        assert pool_mod.POOL._pool is None
+        assert pool_mod.arena_segment_bytes() == 0
+        assert set(glob.glob("/dev/shm/psm_*")) <= before
 
     def test_resolve_distinguishes_mismatch_from_missing_attach(
         self, monkeypatch
@@ -209,7 +211,7 @@ class TestArenaPlane:
             def items(self, ids):  # pragma: no cover - never reached
                 raise AssertionError
 
-        payload = (pool_mod.ARENA_REF, "fresh-version", [1, 2])
+        payload = ("fresh-version", [1, 2])
         monkeypatch.setattr(pool_mod, "_WORKER_ARENA", _Stub())
         with obs.trace():
             with pytest.raises(RuntimeError, match="version mismatch"):
@@ -223,15 +225,7 @@ class TestArenaPlane:
 
 
 class TestAnswerInvariance:
-    @pytest.mark.parametrize("env", [
-        {},                                            # warm pool + arena
-        {"REPRO_POOL_WARM": "0"},                      # cold pool + arena
-        {"REPRO_ARENA": "0"},                          # warm pool, inline
-        {"REPRO_POOL_WARM": "0", "REPRO_ARENA": "0"},  # the historical path
-    ])
-    def test_verify_batch_matches_serial(self, corpus, monkeypatch, env):
-        for key, value in env.items():
-            monkeypatch.setenv(key, value)
+    def test_verify_batch_matches_serial(self, corpus):
         query = _query(corpus, seed=7)
         ids = list(corpus.ids())
         serial = verify_batch(query, ids, corpus, workers=1)
@@ -245,20 +239,14 @@ class TestAnswerInvariance:
         pooled = sim_verify_scan(fragments, ids, corpus, workers=4)
         assert pooled == serial
 
-    @pytest.mark.parametrize("arena,warm", [
-        (True, False), (False, True), (False, False),
-    ])
-    def test_oracle_replay_divergence_free(self, arena, warm):
-        """Full-session acceptance: arena on/off × warm/cold replays of the
-        same trace are observation-identical to the serial reference."""
+    def test_oracle_replay_divergence_free(self):
+        """Full-session acceptance: a pooled replay of a trace is
+        observation-identical to the serial reference."""
         trace = generate_trace(seed=13)
         reference = replay_trace(trace, OracleConfig(workers=1))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            cell = replay_trace(
-                trace,
-                OracleConfig(workers=4, arena=arena, warm_pool=warm),
-            )
+            cell = replay_trace(trace, OracleConfig(workers=4))
         divergence = first_divergence(
             reference.observations, cell.observations,
             "workers=1", cell.config.name,

@@ -137,8 +137,7 @@ def test_operations_page_covers_the_serve_knob_families():
         "REPRO_SERVICE_MAX_SESSIONS",
         "REPRO_SERVICE_TTL",
         "REPRO_WORKERS",
-        "REPRO_ARENA",
-        "REPRO_POOL_WARM",
+        "REPRO_POOL_TTL",
         "REPRO_POSTMORTEM_DIR",
         "REPRO_OBS_EXPORT",
     ):

@@ -70,7 +70,6 @@ def test_knob_coverage_is_nontrivial():
         "REPRO_SCALE",
         "REPRO_WORKERS",
         "REPRO_BUILD_WORKERS",
-        "REPRO_BUILD_SHARDS",
-        "REPRO_ARENA",
+        "REPRO_POOL_TTL",
     } <= knobs
     assert len(_TABLE_ROW.findall(CONFIG_DOC.read_text())) >= 15

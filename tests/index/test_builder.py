@@ -1,7 +1,10 @@
 """Index builder: assembly, parameterisation, content-hash caching."""
 
+import warnings
+
 import pytest
 
+from repro import obs
 from repro.config import MiningParams
 from repro.index import build_indexes, database_fingerprint
 from repro.testing import small_database
@@ -43,6 +46,34 @@ class TestCaching:
         assert set(second.difs) == set(first.difs)
         for code, frag in first.frequent.items():
             assert second.frequent[code].fsg_ids == frag.fsg_ids
+
+    def test_truncated_cache_is_rebuilt_and_rewritten(self, db, tmp_path):
+        """Regression: a truncated cache file raised ``UnpicklingError``
+        instead of triggering a rebuild."""
+        params = MiningParams(0.2, 2, 4)
+        first = build_indexes(db, params, cache_dir=tmp_path)
+        (path,) = tmp_path.glob("indexes_*.pkl")
+        intact = path.read_bytes()
+        path.write_bytes(intact[: len(intact) // 2])
+        with obs.trace():
+            with pytest.warns(RuntimeWarning, match="rebuilding"):
+                second = build_indexes(db, params, cache_dir=tmp_path)
+            counters = obs.full_snapshot()["counters"]
+        assert counters.get("index.cache.corrupt", 0) == 1
+        assert set(second.frequent) == set(first.frequent)
+        assert set(second.difs) == set(first.difs)
+        assert path.read_bytes() == intact  # rewritten in full
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            build_indexes(db, params, cache_dir=tmp_path)  # clean hit
+
+    def test_cache_name_is_versioned_and_write_is_atomic(self, db, tmp_path):
+        from repro.index.builder import CACHE_FORMAT
+
+        build_indexes(db, MiningParams(0.2, 2, 4), cache_dir=tmp_path)
+        names = [p.name for p in tmp_path.iterdir()]
+        assert len(names) == 1  # no temporary file left behind
+        assert names[0].startswith(f"indexes_v{CACHE_FORMAT}_")
 
     def test_fingerprint_depends_on_params(self, db):
         fp1 = database_fingerprint(db, MiningParams(0.2, 2, 4))

@@ -163,14 +163,23 @@ class TestBuilderRouting:
         monkeypatch.setenv("REPRO_BUILD_WORKERS", "1")
         events = []
         build_indexes(
-            db, PARAMS, workers=1, shards=2,
-            progress=lambda kind, fields: events.append(kind),
+            db, PARAMS, workers=2,
+            progress=lambda kind, fields: events.append((kind, fields)),
         )
-        assert "index.build.merge" in events  # the sharded pipeline ran
+        kinds = [kind for kind, _ in events]
+        assert "index.build.merge" in kinds  # the sharded pipeline ran
+        assert events[0][1]["shards"] == 2  # one shard per worker
+
+        monkeypatch.setenv("REPRO_BUILD_WORKERS", "2")
+        events.clear()
+        build_indexes(
+            db, PARAMS, workers=1,
+            progress=lambda kind, fields: events.append((kind, fields)),
+        )
+        assert events == []  # workers=1 beats the knob: serial mining
 
     def test_default_stays_serial(self, db, monkeypatch):
         monkeypatch.delenv("REPRO_BUILD_WORKERS", raising=False)
-        monkeypatch.delenv("REPRO_BUILD_SHARDS", raising=False)
         events = []
         idx = build_indexes(
             db, PARAMS, progress=lambda kind, fields: events.append(kind)

@@ -85,7 +85,7 @@ class TestPoolFallbackBundle:
 
 
 class TestDivergenceBundle:
-    def _patched_bitset_bug(self):
+    def _patched_candidate_bug(self):
         real = exact_mod._phi_upsilon_bits
 
         def buggy(vertex, indexes, db_bits):
@@ -102,7 +102,7 @@ class TestDivergenceBundle:
 
     def test_divergence_embeds_a_renderable_recording(self, tmp_path,
                                                       capsys):
-        with self._patched_bitset_bug():
+        with self._patched_candidate_bug():
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
                 result = self._first_divergent_result()
@@ -126,7 +126,7 @@ class TestDivergenceBundle:
 
     def test_disabled_recorder_yields_no_recording(self):
         RECORDER.force(False)
-        with self._patched_bitset_bug():
+        with self._patched_candidate_bug():
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
                 result = self._first_divergent_result()

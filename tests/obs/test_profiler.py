@@ -273,7 +273,7 @@ class TestWorkerAttributionEndToEnd:
     *and* pool-worker frames after a ``REPRO_WORKERS=2`` session."""
 
     def test_request_slice_spans_parent_and_pool_workers(self, monkeypatch):
-        monkeypatch.setenv("REPRO_POOL_MIN_CANDIDATES", "16")
+        monkeypatch.setattr("repro.core.verification.POOL_MIN_CANDIDATES", 16)
         from repro.oracle.corpus import corpus_for
         from repro.oracle.fuzzer import generate_trace
         from repro.oracle.trace import apply_action

@@ -31,11 +31,11 @@ from repro.oracle.replay import OracleConfig, replay_trace
 def _pool_floor_16(monkeypatch):
     """Pin the pool floor below the 60-graph corpus.
 
-    The default ``REPRO_POOL_MIN_CANDIDATES`` (64) would silently route
+    The default ``POOL_MIN_CANDIDATES`` (64) would silently route
     these batches down the serial path — and every assertion here exists to
     watch a *pool* run (merge deltas, chunk events, worker tracebacks).
     """
-    monkeypatch.setenv("REPRO_POOL_MIN_CANDIDATES", "16")
+    monkeypatch.setattr("repro.core.verification.POOL_MIN_CANDIDATES", 16)
 
 
 @pytest.fixture(scope="module")

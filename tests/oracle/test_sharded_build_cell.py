@@ -4,8 +4,8 @@ The sharded-build equivalence property (`tests/index/test_sharded_build.py`)
 is stated at the catalog level; this cell pins it at the *answer* level,
 where it actually matters: the same fuzzed formulation trace is replayed
 against a corpus whose indexes were built serially and one whose indexes
-came out of the sharded pipeline, across bitset × workers × arena cells, and
-the observation streams must be identical step for step.
+came out of the sharded pipeline, across cache × workers cells, and the
+observation streams must be identical step for step.
 """
 
 import warnings
@@ -23,23 +23,23 @@ from repro.testing import small_database
 SPEC = CorpusSpec(seed=47)
 
 #: Cells that exercise distinct hot paths against the sharded indexes: the
-#: serial reference, the no-bitset fallback, and the pooled/arena plane.
+#: serial reference, the uncached canonical coder, and the pooled plane.
 CELLS = (
     OracleConfig(workers=1),
-    OracleConfig(bitset=False, canonical_cache=False, workers=1),
-    OracleConfig(workers=3, arena=True, warm_pool=True),
+    OracleConfig(canonical_cache=False, workers=1),
+    OracleConfig(workers=3),
 )
 
 
 @pytest.fixture(autouse=True)
 def _fresh_pool(monkeypatch):
-    monkeypatch.setenv("REPRO_POOL_MIN_CANDIDATES", "16")
+    monkeypatch.setattr("repro.core.verification.POOL_MIN_CANDIDATES", 16)
     pool_mod.shutdown()
     yield
     pool_mod.shutdown()
 
 
-def _corpus(workers: int, shards: int = 0) -> OracleCorpus:
+def _corpus(workers: int) -> OracleCorpus:
     db = small_database(
         seed=SPEC.seed,
         num_graphs=SPEC.num_graphs,
@@ -47,9 +47,7 @@ def _corpus(workers: int, shards: int = 0) -> OracleCorpus:
         min_nodes=SPEC.min_nodes,
         max_nodes=SPEC.max_nodes,
     )
-    indexes = build_indexes(
-        db, SPEC.mining_params(), workers=workers, shards=shards
-    )
+    indexes = build_indexes(db, SPEC.mining_params(), workers=workers)
     return OracleCorpus(spec=SPEC, db=db, indexes=indexes)
 
 
@@ -57,7 +55,7 @@ def _corpus(workers: int, shards: int = 0) -> OracleCorpus:
 def test_sharded_indexes_replay_identically(cell):
     trace = generate_trace(seed=23, spec=SPEC)
     serial_corpus = _corpus(workers=1)
-    sharded_corpus = _corpus(workers=3, shards=5)
+    sharded_corpus = _corpus(workers=3)
 
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)

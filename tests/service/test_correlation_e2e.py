@@ -41,7 +41,7 @@ def correlated_stack(monkeypatch):
     forces Run-side verification.
     """
     monkeypatch.setenv("REPRO_WORKERS", "2")
-    monkeypatch.setenv("REPRO_POOL_MIN_CANDIDATES", "2")
+    monkeypatch.setattr("repro.core.verification.POOL_MIN_CANDIDATES", 2)
     TRACER.force(True)
     TRACER.reset()
     RECORDER.force(True)
