@@ -14,11 +14,11 @@ sub-microsecond regime.  The traced/untraced A/B is recorded for scale but
 not asserted (tracing on is opt-in and allowed to cost more).
 
 The same ceiling applies to the *export-on* posture
-(``overhead_bound_export_pct``): with ``REPRO_OBS_EXPORT`` streaming, the
-session's actually-emitted events pay the JSONL-write price and the
-raw-string-cached ``sync_env`` must stay cheap.  Only the default-posture
-per-call costs face the 2 µs no-op ceiling — an emitting ``record`` does
-real I/O and is bounded through the session-level percentage instead.
+(``overhead_bound_export_pct``): with the continuous exporter streaming,
+the session's actually-emitted events pay the JSONL-write price.  Only the
+default-posture per-call costs face the 2 µs no-op ceiling — an emitting
+``record`` does real I/O and is bounded through the session-level
+percentage instead.
 
 And the same ceiling applies to the *service* posture
 (``overhead_bound_service_pct``): the request-scoped telemetry — recorder
@@ -26,7 +26,7 @@ calls priced inside an active request scope, plus one access-log event, two
 SLO samples and one request-ring entry per HTTP request — must not push a
 served session past 5 % either.  Scoped ``record`` and an SLO sample face
 the no-op per-call ceiling; a request-ring insert (dict churn against a full
-ring) gets the ``sync_env`` ceiling.
+ring) gets the looser :data:`RING_INSERT_CEILING_NS`.
 
 Finally the *sampler-on* posture (``overhead_sampler_pct``): a direct
 best-of-N A/B of the same session with the statistical profiler running at
@@ -43,11 +43,10 @@ from repro.bench.obs_overhead import OVERHEAD_CEILING_PCT, run_obs_overhead
 #: A disabled obs call that costs ≥ 2 µs would no longer be "an attribute
 #: load and a branch" — catch gross regressions in the no-op path itself.
 NOOP_CALL_CEILING_NS = 2000.0
-#: ``sync_env`` is not a no-op site: it re-reads four environment knobs
-#: (trace, recorder, recorder size, export target) once per GUI action, and
-#: ``os.environ`` probes alone cost ~1 µs on slow runners.  It gets its own
-#: ceiling; at ~10 calls per session its share of the bound is negligible.
-SYNC_CALL_CEILING_NS = 5000.0
+#: A request-ring insert pops and re-inserts an ``OrderedDict`` entry under a
+#: lock — not a no-op site, so it gets its own ceiling; at one insert per
+#: request its share of the bound is negligible.
+RING_INSERT_CEILING_NS = 5000.0
 
 
 @pytest.mark.benchmark(group="obs_overhead")
@@ -61,8 +60,6 @@ def test_obs_overhead(benchmark):
          str(volume["spans"])],
         ["count() disabled", f"{per_call['count']:.0f} ns",
          str(volume["counter_increments"])],
-        ["sync_env()", f"{per_call['sync_env']:.0f} ns",
-         str(volume["env_syncs"])],
         ["observe() enabled", f"{per_call['observe']:.0f} ns",
          str(volume["histogram_observations"])],
         ["record() enabled", f"{per_call['record']:.0f} ns",
@@ -70,9 +67,6 @@ def test_obs_overhead(benchmark):
         ["record() exporting",
          f"{data['noop_per_call_export_ns']['record']:.0f} ns",
          str(data["volume_per_session"]["exported_events"])],
-        ["sync_env() exporting",
-         f"{data['noop_per_call_export_ns']['sync_env']:.0f} ns",
-         str(volume["env_syncs"])],
         ["record() in req scope",
          f"{data['noop_per_call_service_ns']['record_scoped']:.0f} ns",
          str(volume["recorder_calls"])],
@@ -122,12 +116,8 @@ def test_obs_overhead(benchmark):
     assert data["overhead_bound_export_pct"] < OVERHEAD_CEILING_PCT
     assert data["overhead_sampler_pct"] < OVERHEAD_CEILING_PCT
     for name, cost_ns in per_call.items():
-        ceiling = (SYNC_CALL_CEILING_NS if name == "sync_env"
-                   else NOOP_CALL_CEILING_NS)
-        assert cost_ns < ceiling, (name, cost_ns)
+        assert cost_ns < NOOP_CALL_CEILING_NS, (name, cost_ns)
     service_ns = data["noop_per_call_service_ns"]
     assert service_ns["record_scoped"] < NOOP_CALL_CEILING_NS, service_ns
     assert service_ns["slo_record"] < NOOP_CALL_CEILING_NS, service_ns
-    # A ring insert pops + re-inserts an OrderedDict entry — not a no-op
-    # site, so it shares sync_env's looser ceiling.
-    assert service_ns["request_log"] < SYNC_CALL_CEILING_NS, service_ns
+    assert service_ns["request_log"] < RING_INSERT_CEILING_NS, service_ns

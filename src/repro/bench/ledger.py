@@ -74,7 +74,7 @@ def run_perf_suite(seed: int = 2012) -> Dict[str, float]:
     * ``micro.*`` — the smoke-scale hot-path benchmarks (memoized canonical
       codes, compiled containment scan, bitset intersection);
     * ``obs.probe_loop_s`` — the combined per-call probe loops of the
-      observability primitives (disabled span/count, sync, enabled
+      observability primitives (disabled span/count, enabled
       histogram/recorder), i.e. the cost bounded by
       ``bench_obs_overhead``;
     * ``pool.*`` — smoke-scale warm-pool dispatch time over the same

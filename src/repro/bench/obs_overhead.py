@@ -8,13 +8,13 @@ claims into numbers:
 
 * **per-call costs** — tight-loop timings of a disabled ``span()``
   (including the ``with``-protocol on the shared no-op handle), a disabled
-  ``count()``, a ``sync_env()`` call, an *enabled* histogram ``observe()``
+  ``count()``, an *enabled* histogram ``observe()``
   and an *enabled* recorder ``record()`` (the costlier of the recorder's two
   entry points; deduplicated ``transition()`` probes are cheaper), each with
   the empty-loop baseline subtracted;
 * **per-session obs-call volume** — one traced replay of a fuzzed session
-  counts how many spans, counter increments, env syncs, histogram
-  observations and recorder calls a session actually fires (counter
+  counts how many spans, counter increments, histogram observations and
+  recorder calls a session actually fires (counter
   increments via ``amount > 1`` are over-counted per unit, and every
   recorder call is charged the full ``record()`` price, which only makes
   the bound more conservative);
@@ -28,9 +28,9 @@ claims into numbers:
   telemetry charged on top: recorder calls priced inside an active request
   scope, plus one access-log event, two SLO samples and one request-ring
   entry per HTTP request (one request per state-changing gesture);
-* **the export-on posture** — the same bound with ``REPRO_OBS_EXPORT``
-  streaming: ``sync_env`` and ``record`` are re-probed with the continuous
-  exporter active, and the session's *actually streamed* event volume is
+* **the export-on posture** — the same bound with the continuous exporter
+  streaming: ``record`` is re-probed with the exporter active, and the
+  session's *actually streamed* event volume is
   counted under a real exporting replay (streak-compressed transitions
   never reach ``emit``, so charging every recorder call the emit price
   would be wrong by an order of magnitude);
@@ -47,17 +47,19 @@ emits ``benchmarks/results/obs_overhead.json``.
 
 from __future__ import annotations
 
-import os
 import tempfile
 import time
+from contextlib import contextmanager
 from typing import Any, Dict
+from unittest import mock
 
 from repro import obs
 from repro.core.prague import PragueEngine
+from repro.obs import exporter
 from repro.obs.histogram import HISTOGRAMS, observe, total_observations
 from repro.obs.metrics import count
 from repro.obs.recorder import RECORDER
-from repro.obs.tracer import span, sync_env
+from repro.obs.tracer import span
 
 #: Iterations for the tight no-op loops (cheap: ~a few ms total).
 NOOP_LOOP = 200_000
@@ -109,10 +111,6 @@ def _noop_costs(loop: int = NOOP_LOOP) -> Dict[str, float]:
             for _ in r:
                 count("bench.noop")
 
-        def sync_loop() -> None:
-            for _ in r:
-                sync_env()
-
         def observe_loop() -> None:
             for _ in r:
                 observe("bench.noop", 1e-6)
@@ -125,7 +123,6 @@ def _noop_costs(loop: int = NOOP_LOOP) -> Dict[str, float]:
         return {
             "span_s": max(0.0, (_best_of(span_loop, 3) - base)) / loop,
             "count_s": max(0.0, (_best_of(count_loop, 3) - base)) / loop,
-            "sync_s": max(0.0, (_best_of(sync_loop, 3) - base)) / loop,
             "observe_s": max(0.0, (_best_of(observe_loop, 3) - base)) / loop,
             "record_s": max(0.0, (_best_of(record_loop, 3) - base)) / loop,
         }
@@ -189,73 +186,52 @@ def _service_posture_costs(loop: int = NOOP_LOOP) -> Dict[str, float]:
         RECORDER.reset()
 
 
-def _export_env(directory: str):
-    """Environment patch that turns the continuous exporter on.
+@contextmanager
+def _exporting():
+    """Stream the process exporter into a temporary directory.
 
     The interval is pinned far out so per-action ``tick``\\ s cost one
     monotonic-clock probe — the posture under measurement is *streaming
     events*, not rewriting snapshots in a tight loop.
     """
-    return {
-        "REPRO_OBS_EXPORT": directory,
-        "REPRO_OBS_EXPORT_INTERVAL": "3600",
-    }
-
-
-def _apply_env(patch: Dict[str, str]) -> Dict[str, Any]:
-    saved = {key: os.environ.get(key) for key in patch}
-    os.environ.update(patch)
-    return saved
-
-
-def _restore_env(saved: Dict[str, Any]) -> None:
-    for key, value in saved.items():
-        if value is None:
-            os.environ.pop(key, None)
-        else:
-            os.environ[key] = value
+    tmp = tempfile.TemporaryDirectory(prefix="repro-obs-export-")
+    previous = exporter.EXPORTER.force(tmp.name)
+    try:
+        with mock.patch.object(exporter, "EXPORT_INTERVAL_S", 3600.0):
+            yield exporter.EXPORTER
+    finally:
+        exporter.EXPORTER.force(previous)  # closes the handle
+        tmp.cleanup()
 
 
 def _export_costs(loop: int = EXPORT_LOOP) -> Dict[str, float]:
-    """Per-call costs with the continuous exporter streaming, baseline
-    subtracted: an *emitting* ``record()`` (append + envelope + JSONL line)
-    and a ``sync_env()`` whose export knobs are set but unchanged — the
-    raw-string cache must keep the latter near its export-off price."""
-    from repro.obs.exporter import EXPORTER
-
+    """Per-call cost of an *emitting* ``record()`` (append + envelope +
+    JSONL line) with the continuous exporter streaming, baseline
+    subtracted."""
     obs.TRACER.force(False)
     RECORDER.force(True)
-    tmp = tempfile.TemporaryDirectory(prefix="repro-obs-export-")
-    saved = _apply_env(_export_env(tmp.name))
-    EXPORTER.sync_env()
     try:
-        r = range(loop)
+        with _exporting():
+            r = range(loop)
 
-        def baseline() -> None:
-            for _ in r:
-                pass
+            def baseline() -> None:
+                for _ in r:
+                    pass
 
-        def record_loop() -> None:
-            for _ in r:
-                RECORDER.record("bench.noop", probe=1)
+            def record_loop() -> None:
+                for _ in r:
+                    RECORDER.record("bench.noop", probe=1)
 
-        def sync_loop() -> None:
-            for _ in r:
-                sync_env()
-
-        base = _best_of(baseline, 3)
-        return {
-            "record_s": max(0.0, (_best_of(record_loop, 3) - base)) / loop,
-            "sync_s": max(0.0, (_best_of(sync_loop, 3) - base)) / loop,
-        }
+            base = _best_of(baseline, 3)
+            return {
+                "record_s":
+                    max(0.0, (_best_of(record_loop, 3) - base)) / loop,
+            }
     finally:
-        _restore_env(saved)
-        EXPORTER.sync_env()  # closes the handle, deactivates
         obs.TRACER.force(None)
         RECORDER.force(None)
         RECORDER.reset()
         HISTOGRAMS.pop("bench.noop", None)
-        tmp.cleanup()
 
 
 def _export_session_volume(trace, corpus) -> int:
@@ -265,24 +241,17 @@ def _export_session_volume(trace, corpus) -> int:
     streak-compressed before they reach ``emit``.  This is the volume the
     export-on bound charges at the emitting-``record`` price.
     """
-    from repro.obs.exporter import EXPORTER
-
-    tmp = tempfile.TemporaryDirectory(prefix="repro-obs-export-")
-    saved = _apply_env(_export_env(tmp.name))
-    EXPORTER.sync_env()
     RECORDER.force(True)
     RECORDER.reset()
     try:
-        before = EXPORTER.events_emitted
-        with obs.trace():
-            _replay(trace, corpus)
-        return EXPORTER.events_emitted - before
+        with _exporting() as streaming:
+            before = streaming.events_emitted
+            with obs.trace():
+                _replay(trace, corpus)
+            return streaming.events_emitted - before
     finally:
         RECORDER.force(None)
         RECORDER.reset()
-        _restore_env(saved)
-        EXPORTER.sync_env()
-        tmp.cleanup()
 
 
 def _replay(trace, corpus) -> None:
@@ -324,13 +293,12 @@ def run_obs_overhead(seed: int = 2012) -> Dict[str, Any]:
     counter_incs = int(sum(snapshot["counters"].values()))
     action_ops = ("add_edge", "add_pattern", "delete_edge", "delete_edges",
                   "relabel_node", "enable_similarity", "run")
-    syncs = sum(1 for a in trace.actions if a.op in action_ops)
+    requests = sum(1 for a in trace.actions if a.op in action_ops)
 
     costs = _noop_costs()
     per_session_s = (
         spans * costs["span_s"]
         + counter_incs * costs["count_s"]
-        + syncs * costs["sync_s"]
         + observations * costs["observe_s"]
         + recorder_calls * costs["record_s"]
     )
@@ -339,10 +307,9 @@ def run_obs_overhead(seed: int = 2012) -> Dict[str, Any]:
     # (charged at whichever of the two record prices is worse), and each
     # HTTP request adds one access-log event, two SLO samples (request
     # outcome + action latency) and one request-ring entry.  One request
-    # per state-changing gesture — the same population as the env syncs.
+    # per state-changing gesture.
     service_costs = _service_posture_costs()
     record_worst = max(costs["record_s"], service_costs["record_scoped_s"])
-    requests = syncs
     per_request_s = (
         service_costs["record_scoped_s"]
         + 2 * service_costs["slo_record_s"]
@@ -351,7 +318,6 @@ def run_obs_overhead(seed: int = 2012) -> Dict[str, Any]:
     per_session_service_s = (
         spans * costs["span_s"]
         + counter_incs * costs["count_s"]
-        + syncs * costs["sync_s"]
         + observations * costs["observe_s"]
         + recorder_calls * record_worst
         + requests * per_request_s
@@ -364,7 +330,6 @@ def run_obs_overhead(seed: int = 2012) -> Dict[str, Any]:
     per_session_export_s = (
         spans * costs["span_s"]
         + counter_incs * costs["count_s"]
-        + syncs * export_costs["sync_s"]
         + observations * costs["observe_s"]
         + (recorder_calls - emitted) * costs["record_s"]
         + emitted * export_costs["record_s"]
@@ -407,12 +372,10 @@ def run_obs_overhead(seed: int = 2012) -> Dict[str, Any]:
         "noop_per_call_ns": {
             "span": 1e9 * costs["span_s"],
             "count": 1e9 * costs["count_s"],
-            "sync_env": 1e9 * costs["sync_s"],
             "observe": 1e9 * costs["observe_s"],
             "record": 1e9 * costs["record_s"],
         },
         "noop_per_call_export_ns": {
-            "sync_env": 1e9 * export_costs["sync_s"],
             "record": 1e9 * export_costs["record_s"],
         },
         "noop_per_call_service_ns": {
@@ -423,7 +386,6 @@ def run_obs_overhead(seed: int = 2012) -> Dict[str, Any]:
         "volume_per_session": {
             "spans": spans,
             "counter_increments": counter_incs,
-            "env_syncs": syncs,
             "histogram_observations": observations,
             "recorder_calls": recorder_calls,
             "exported_events": emitted,

@@ -80,43 +80,23 @@ def canonical_cache_size() -> int:
     return max(value, 0)
 
 
+# ----------------------------------------------------------------------
+# observability knobs (see docs/CONFIGURATION.md)
+#
+# Each obs switch reads its knob once, when the switch is built at import.
+# Nothing outside a process can change its environment, so an operator sets
+# these at boot; in-process changes go through ``repro.obs.trace()`` and the
+# switches' ``force()`` methods, and ``force(None)`` restores the boot value.
+# ----------------------------------------------------------------------
 def trace_enabled() -> bool:
     """Whether the observability layer records spans and metrics.
 
     ``REPRO_TRACE=1`` turns tracing on; the default (``0``/unset) is the
     no-op mode, whose per-call overhead is bounded by
-    ``benchmarks/bench_obs_overhead.py``.  The engine re-reads this knob at
-    every GUI action (see :data:`repro.obs.TRACER`), so flipping the variable
-    mid-process takes effect at the next action.
+    ``benchmarks/bench_obs_overhead.py``.  Read once, when
+    :data:`repro.obs.TRACER` is built.
     """
     return os.environ.get("REPRO_TRACE", "0") not in ("0", "false", "no", "")
-
-
-def recorder_enabled() -> bool:
-    """Whether the flight recorder keeps its event ring (``REPRO_RECORDER``).
-
-    **On by default** — unlike tracing, the recorder exists for failures
-    nobody planned to reproduce (oracle divergences, pool fallbacks), so it
-    must already be running when they happen.  ``REPRO_RECORDER=0`` disables
-    it; the per-event cost is bounded by
-    ``benchmarks/bench_obs_overhead.py``.  Like ``REPRO_TRACE``, the knob is
-    re-read at every GUI action.
-    """
-    return os.environ.get("REPRO_RECORDER", "1") not in ("0", "false", "no")
-
-
-def recorder_size() -> int:
-    """Flight-recorder ring capacity in events (``REPRO_RECORDER_SIZE``).
-
-    The ring keeps the *last* N events; older ones are dropped (the drop
-    count is reported in every post-mortem bundle).  Floor of 16 so a bundle
-    always has enough context to read.
-    """
-    try:
-        value = int(os.environ.get("REPRO_RECORDER_SIZE", "512"))
-    except ValueError:
-        value = 512
-    return max(value, 16)
 
 
 def obs_export_dir():
@@ -127,24 +107,11 @@ def obs_export_dir():
     snapshot (counters, gauges, latency histograms) is periodically rewritten
     as ``metrics.prom`` (Prometheus text format) plus ``snapshot.json``
     (schema-v2 envelope) — the files ``python -m repro top`` tails.  Unset
-    (the default) means nothing is written; returns ``None`` then.
+    (the default) means nothing is written; returns ``None`` then.  Read
+    once, when :data:`repro.obs.EXPORTER` is built.
     """
     value = os.environ.get("REPRO_OBS_EXPORT", "").strip()
     return value or None
-
-
-def obs_export_interval() -> float:
-    """Minimum seconds between metrics-file rewrites
-    (``REPRO_OBS_EXPORT_INTERVAL``, default 1.0, floor 0).
-
-    ``0`` rewrites at every opportunity (each completed engine action) —
-    what tests use; the JSONL event stream is unaffected by this knob.
-    """
-    try:
-        value = float(os.environ.get("REPRO_OBS_EXPORT_INTERVAL", "1.0"))
-    except ValueError:
-        value = 1.0
-    return max(value, 0.0)
 
 
 # ----------------------------------------------------------------------
@@ -189,48 +156,6 @@ def service_session_ttl() -> float:
     return max(value, 0.0)
 
 
-def slo_window() -> float:
-    """Rolling window in seconds over which SLO attainment is computed
-    (``REPRO_SLO_WINDOW``, default 3600, floor 1).
-
-    Samples older than the window fall out of both the attainment fraction
-    and the burn rate, so the objectives in ``/obs`` describe the last hour
-    of traffic by default rather than process lifetime.
-    """
-    try:
-        value = float(os.environ.get("REPRO_SLO_WINDOW", "3600"))
-    except ValueError:
-        value = 3600.0
-    return max(value, 1.0)
-
-
-def slo_action_threshold() -> float:
-    """Per-action latency objective in seconds (``REPRO_SLO_ACTION_SECONDS``,
-    default 2.0 — the paper's GUI-latency window).
-
-    A session action counts as *good* for the ``action_latency`` objective
-    iff it completes within this many seconds; PRAGUE's whole premise is
-    that query processing hides inside the user's drawing latency, so the
-    default is :data:`DEFAULT_EDGE_LATENCY_SECONDS`.
-    """
-    try:
-        value = float(os.environ.get("REPRO_SLO_ACTION_SECONDS", "2.0"))
-    except ValueError:
-        value = 2.0
-    return max(value, 0.0)
-
-
-def slo_request_log_size() -> int:
-    """Completed-request ring capacity behind ``/obs`` slowest/recent request
-    surfacing and ``/v1/requests/<id>`` lookups (``REPRO_SLO_REQUEST_LOG``,
-    default 256, floor 16)."""
-    try:
-        value = int(os.environ.get("REPRO_SLO_REQUEST_LOG", "256"))
-    except ValueError:
-        value = 256
-    return max(value, 16)
-
-
 def postmortem_dir():
     """Directory for automatic post-mortem bundles (``REPRO_POSTMORTEM_DIR``).
 
@@ -254,46 +179,15 @@ def profile_hz() -> float:
     stack into the collapsed-stack profile (:mod:`repro.obs.profiler`).
     ~50 Hz is the recommended always-on rate; the sampler-on overhead at
     50 Hz is bounded by ``benchmarks/bench_obs_overhead.py``.  Like
-    ``REPRO_TRACE``, the knob is re-read at every engine action.  Capped at
-    1000 Hz — beyond that the sampling loop itself distorts the profile.
+    ``REPRO_TRACE``, the knob is read once, when :data:`repro.obs.PROFILER`
+    is built.  Capped at 1000 Hz — beyond that the sampling loop itself
+    distorts the profile.
     """
     try:
         value = float(os.environ.get("REPRO_PROFILE_HZ", "0"))
     except ValueError:
         value = 0.0
     return min(max(value, 0.0), 1000.0)
-
-
-def profile_mem_topn() -> int:
-    """``tracemalloc`` top-N allocation sites per bracket
-    (``REPRO_PROFILE_MEM``, default 0 = off).
-
-    When positive, engine actions and arena/index builds are bracketed with
-    tracemalloc snapshots and the top-N allocating source lines (by size
-    delta) are attached to the profile's memory tier.  Starting tracemalloc
-    roughly doubles allocation cost process-wide, so this is a diagnostic
-    knob, not an always-on one.
-    """
-    try:
-        value = int(os.environ.get("REPRO_PROFILE_MEM", "0"))
-    except ValueError:
-        value = 0
-    return max(value, 0)
-
-
-def profile_depth() -> int:
-    """Maximum folded-stack depth per sample (``REPRO_PROFILE_DEPTH``,
-    default 64, floor 4).
-
-    Frames deeper than this are dropped from the *root* end of the stack —
-    the leaf (hot) frames always survive — which bounds both sampling cost
-    and collapsed-stack key length on pathologically deep recursion.
-    """
-    try:
-        value = int(os.environ.get("REPRO_PROFILE_DEPTH", "64"))
-    except ValueError:
-        value = 64
-    return max(value, 4)
 
 
 @dataclass(frozen=True)

@@ -21,10 +21,10 @@ option dialogue (``option_pending``); the caller either deletes an edge
 draw implicitly opts into similarity search, matching Figure 3's flow where
 the status simply turns "Similar" and formulation proceeds.
 
-All per-action processing is timed (``perf_counter``); the session layer
-overlays these timings on the GUI-latency timeline to compute SRT
-(:mod:`repro.obs.srt`), and every action records a span plus counters
-through :mod:`repro.obs` when ``REPRO_TRACE`` is on.
+All per-action processing is timed through one :func:`repro.obs.action`
+record per action, which also feeds the action's histogram, recorder events
+and (when tracing) span and counter; the session layer overlays these
+timings on the GUI-latency timeline to compute SRT (:mod:`repro.obs.srt`).
 
 Example — formulate a two-edge path query over a small seeded corpus and
 run it (ids are deterministic because the corpus is)::
@@ -71,11 +71,7 @@ from repro.exceptions import SessionError
 from repro.graph.database import GraphDatabase
 from repro.graph.labeled_graph import NodeId
 from repro.index.builder import ActionAwareIndexes
-from repro.obs.histogram import observe
-from repro.obs.profiler import profile_action
-from repro.obs.metrics import count
-from repro.obs.recorder import RECORDER
-from repro.obs.tracer import span, sync_env
+from repro.obs.tracer import action, timed
 from repro.query_graph import VisualQuery
 from repro.spig.manager import SpigManager
 
@@ -184,11 +180,7 @@ class PragueEngine:
                 )
             # Continuing to draw = implicitly opting into similarity search.
             self.enable_similarity()
-        sync_env()
-        start = time.perf_counter()
-        RECORDER.record("action.start", op="new")
-        with profile_action("new"), span("action.new") as sp:
-            count("engine.action.new")
+        with action("new") as act:
             edge_id = self.query.add_edge(u, v, label)
             spig_start = time.perf_counter()
             self.manager.on_new_edge(self.query, edge_id)
@@ -217,13 +209,8 @@ class PragueEngine:
                 assert self.similar_candidates is not None
                 report.status = QueryStatus.SIMILAR
                 report.candidate_count = self.similar_candidates.candidate_count
-            report.processing_seconds = time.perf_counter() - start
-            sp.set(edge=edge_id, status=report.status.value)
-        observe("action.new", report.processing_seconds)
-        RECORDER.record(
-            "action.end", op="new", edge=edge_id,
-            status=report.status.value, seconds=report.processing_seconds,
-        )
+            report.processing_seconds = act.stop()
+            act.set(edge=edge_id, status=report.status.value)
         self.history.append(report)
         return report
 
@@ -289,11 +276,7 @@ class PragueEngine:
 
     def enable_similarity(self) -> StepReport:
         """Action ``SimQuery``: switch to substructure similarity search."""
-        sync_env()
-        start = time.perf_counter()
-        RECORDER.record("action.start", op="simquery")
-        with profile_action("simquery"), span("action.simquery") as sp:
-            count("engine.action.simquery")
+        with action("simquery") as act:
             self.sim_flag = True
             self.option_pending = False
             self._refresh_similar_candidates()
@@ -302,15 +285,9 @@ class PragueEngine:
                 action=Action.SIM_QUERY,
                 status=QueryStatus.SIMILAR,
                 candidate_count=self.similar_candidates.candidate_count,
-                processing_seconds=time.perf_counter() - start,
+                processing_seconds=act.stop(),
             )
-            sp.set(candidates=report.candidate_count)
-        observe("action.simquery", report.processing_seconds)
-        RECORDER.record(
-            "action.end", op="simquery",
-            candidates=report.candidate_count,
-            seconds=report.processing_seconds,
-        )
+            act.set(candidates=report.candidate_count)
         self.history.append(report)
         return report
 
@@ -320,11 +297,7 @@ class PragueEngine:
 
     def delete_edge(self, edge_id: Optional[int] = None) -> StepReport:
         """Action ``Modify``: delete an edge (``None`` accepts the suggestion)."""
-        sync_env()
-        start = time.perf_counter()
-        RECORDER.record("action.start", op="modify")
-        with profile_action("modify"), span("action.modify") as sp:
-            count("engine.action.modify")
+        with action("modify") as act:
             suggestion = None
             if edge_id is None:
                 suggestion = self.suggestion()
@@ -332,21 +305,8 @@ class PragueEngine:
                     raise SessionError("nothing can be deleted from this query")
                 edge_id = suggestion.edge_id
             apply_deletion(self.query, self.manager, edge_id)
-            self.option_pending = False
-            report = StepReport(
-                action=Action.MODIFY,
-                status=QueryStatus.SIMILAR,
-                edge_id=edge_id,
-                suggestion=suggestion,
-            )
-            self._refresh_after_modification(report)
-            report.processing_seconds = time.perf_counter() - start
-            sp.set(edge=edge_id, suggested=suggestion is not None)
-        observe("action.modify", report.processing_seconds)
-        RECORDER.record(
-            "action.end", op="modify", edge=edge_id,
-            status=report.status.value, seconds=report.processing_seconds,
-        )
+            report = self._modified(act, edge_id, suggestion)
+            act.set(edge=edge_id, suggested=suggestion is not None)
         self.history.append(report)
         return report
 
@@ -359,26 +319,10 @@ class PragueEngine:
         """
         from repro.core.modify import apply_multi_deletion
 
-        sync_env()
-        start = time.perf_counter()
-        RECORDER.record("action.start", op="modify")
-        with profile_action("modify"), span("action.modify") as sp:
-            count("engine.action.modify")
+        with action("modify") as act:
             applied = apply_multi_deletion(self.query, self.manager, edge_ids)
-            self.option_pending = False
-            report = StepReport(
-                action=Action.MODIFY,
-                status=QueryStatus.SIMILAR,
-                edge_id=applied[-1] if applied else None,
-            )
-            self._refresh_after_modification(report)
-            report.processing_seconds = time.perf_counter() - start
-            sp.set(edges=len(applied))
-        observe("action.modify", report.processing_seconds)
-        RECORDER.record(
-            "action.end", op="modify", edges=len(applied),
-            status=report.status.value, seconds=report.processing_seconds,
-        )
+            report = self._modified(act, applied[-1] if applied else None)
+            act.set(edges=len(applied))
         self.history.append(report)
         return report
 
@@ -391,31 +335,28 @@ class PragueEngine:
         """
         from repro.core.modify import relabel_node as _relabel
 
-        sync_env()
-        start = time.perf_counter()
-        RECORDER.record("action.start", op="modify")
-        with profile_action("modify"), span("action.modify") as sp:
-            count("engine.action.modify")
+        with action("modify") as act:
             new_ids = _relabel(self.query, self.manager, node, new_label)
-            self.option_pending = False
-            report = StepReport(
-                action=Action.MODIFY,
-                status=QueryStatus.SIMILAR,
-                edge_id=new_ids[-1] if new_ids else None,
-            )
-            self._refresh_after_modification(report)
-            report.processing_seconds = time.perf_counter() - start
-            sp.set(relabel=str(node), edges=len(new_ids))
-        observe("action.modify", report.processing_seconds)
-        RECORDER.record(
-            "action.end", op="modify", relabel=str(node), edges=len(new_ids),
-            status=report.status.value, seconds=report.processing_seconds,
-        )
+            report = self._modified(act, new_ids[-1] if new_ids else None)
+            act.set(relabel=str(node), edges=len(new_ids))
         self.history.append(report)
         return report
 
-    def _refresh_after_modification(self, report: StepReport) -> None:
-        """Recompute the candidate state after any Modify gesture."""
+    def _modified(
+        self,
+        act: action,
+        edge_id: Optional[int],
+        suggestion: Optional[DeletionSuggestion] = None,
+    ) -> StepReport:
+        """Finish any Modify gesture once its edit is applied: recompute the
+        candidate state and stop the action's clock."""
+        self.option_pending = False
+        report = StepReport(
+            action=Action.MODIFY,
+            status=QueryStatus.SIMILAR,
+            edge_id=edge_id,
+            suggestion=suggestion,
+        )
         if self.query.num_edges == 0:
             self.sim_flag = False
             self.rq = frozenset()
@@ -435,20 +376,18 @@ class PragueEngine:
                     if target.fragment_list.freq_id is not None
                     else QueryStatus.INFREQUENT
                 )
-                self.option_pending = False
             else:
                 report.status = QueryStatus.SIMILAR
                 self.option_pending = True
+        report.processing_seconds = act.stop()
+        act.set(status=report.status.value)
+        return report
 
     def run(self) -> RunReport:
         """Action ``Run``: produce the final results (Alg 1, lines 16-23)."""
         if self.query.num_edges == 0:
             raise SessionError("cannot run an empty query")
-        sync_env()
-        start = time.perf_counter()
-        RECORDER.record("action.start", op="run")
-        with profile_action("run"), span("action.run") as sp:
-            count("engine.action.run")
+        with action("run") as act:
             self._ensure_current_candidates()
             report = RunReport()
             if not self.sim_flag:
@@ -483,18 +422,12 @@ class PragueEngine:
                 )
                 report.results = QueryResults(similar=matches)
                 report.candidate_count = self.similar_candidates.candidate_count
-            report.processing_seconds = time.perf_counter() - start
-            sp.set(
+            report.processing_seconds = act.stop()
+            act.set(
                 similar=self.sim_flag,
                 candidates=report.candidate_count,
                 verification_free=report.verification_free,
             )
-        observe("action.run", report.processing_seconds)
-        RECORDER.record(
-            "action.end", op="run", candidates=report.candidate_count,
-            verification_free=report.verification_free,
-            seconds=report.processing_seconds,
-        )
         return report
 
     # ------------------------------------------------------------------
@@ -505,11 +438,9 @@ class PragueEngine:
         return QueryStatus.FREQUENT
 
     def _refresh_rq(self, target) -> None:
-        rq_start = time.perf_counter()
-        with span("candidates.exact") as sp:
+        with timed("candidates.exact") as region:
             self.rq = exact_sub_candidates(target, self.indexes, self.db_ids)
-            sp.set(rq=len(self.rq))
-        observe("candidates.exact", time.perf_counter() - rq_start)
+            region.set(rq=len(self.rq))
         self._candidates_db_size = len(self.db)
 
     def _refresh_similar_candidates(self) -> None:

@@ -14,7 +14,6 @@ answer is reported at its *minimum* distance, and returns the ranked list
 
 from __future__ import annotations
 
-import time
 from typing import FrozenSet, Iterator, List, Set
 
 from repro.core.candidates import bits_of, iter_ids
@@ -23,8 +22,7 @@ from repro.core.results import SimilarCandidates, SimilarityMatch
 from repro.core.verification import level_fragments_to_verify, sim_verify_scan
 from repro.graph.database import GraphDatabase
 from repro.index.builder import ActionAwareIndexes
-from repro.obs.histogram import observe
-from repro.obs.tracer import span
+from repro.obs.tracer import span, timed
 from repro.query_graph import VisualQuery
 from repro.spig.manager import SpigManager
 
@@ -45,8 +43,7 @@ def similar_sub_candidates(
     bottom = max(q_size - sigma, 1)
     out = SimilarCandidates()
     db_bits = bits_of(db_ids)
-    sim_start = time.perf_counter()
-    with span("candidates.similar", sigma=sigma) as outer:
+    with timed("candidates.similar", sigma=sigma) as outer:
         for level in range(top, bottom - 1, -1):
             with span("candidates.level", level=level) as sp:
                 # Word-parallel bucket accumulation: one OR per vertex, one
@@ -65,7 +62,6 @@ def similar_sub_candidates(
                 out.ver[level] = set(iter_ids(ver_bits))
                 sp.set(free=len(out.free[level]), ver=len(out.ver[level]))
         outer.set(candidates=out.candidate_count)
-    observe("candidates.similar", time.perf_counter() - sim_start)
     return out
 
 

@@ -57,7 +57,7 @@ from repro.obs.snapshot import (
     merge_worker_delta,
     worker_context,
 )
-from repro.obs.tracer import span
+from repro.obs.tracer import span, timed
 from repro.spig.manager import SpigManager
 from repro.spig.spig import SpigVertex
 
@@ -303,8 +303,7 @@ def verify_batch(
     if workers is None:
         workers = verification_workers()
     workers = max(1, min(workers, len(ids)))
-    start = time.perf_counter()
-    with span("verify.scan", candidates=len(ids), workers=workers):
+    with timed("verify.scan", candidates=len(ids), workers=workers):
         label_freq = db.label_frequencies()
         arena = _pool_arena(db, workers, len(ids))
         if arena is None:
@@ -319,7 +318,6 @@ def verify_batch(
                 ),
                 ids, workers, arena=arena,
             )
-    observe("verify.scan", time.perf_counter() - start)
     return out
 
 
@@ -341,8 +339,7 @@ def sim_verify_scan(
     if workers is None:
         workers = verification_workers()
     workers = max(1, min(workers, len(ids)))
-    start = time.perf_counter()
-    with span(
+    with timed(
         "verify.sim",
         candidates=len(ids), fragments=len(fragments), workers=workers,
     ):
@@ -363,7 +360,6 @@ def sim_verify_scan(
                 ),
                 ids, workers, arena=arena,
             ))
-    observe("verify.sim", time.perf_counter() - start)
     return out
 
 

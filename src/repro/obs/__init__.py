@@ -48,10 +48,14 @@ millisecond of a formulation session goes* without changing any answer:
   for every observation at any ``REPRO_WORKERS`` setting.
 
 Tracing is **off by default** and controlled by ``REPRO_TRACE``; histograms
-and the flight recorder are **on by default** (``REPRO_RECORDER=0`` turns
-the recorder off) — see ``docs/CONFIGURATION.md``.  The combined always-on
-cost is bounded by ``benchmarks/bench_obs_overhead.py``.  Programmatic use
-needs no environment variable:
+and the flight recorder are **on by default** — see
+``docs/CONFIGURATION.md``.  Every obs switch reads its knob once, when it is
+built at import; in-process changes go through :func:`trace` and the
+switches' ``force()`` methods (``force(None)`` restores the value read at
+start).  The engine feeds the plane through one call per action,
+:func:`action`, and instrumented sites through :func:`timed`.  The combined
+always-on cost is bounded by ``benchmarks/bench_obs_overhead.py``.
+Programmatic use needs no environment variable:
 
 >>> from repro import obs
 >>> with obs.trace() as tracer:
@@ -138,9 +142,10 @@ from repro.obs.tracer import (
     TRACER,
     Span,
     Tracer,
+    action,
     add_attrs,
     span,
-    sync_env,
+    timed,
     trace,
 )
 
@@ -150,7 +155,8 @@ __all__ = [
     "Span",
     "span",
     "add_attrs",
-    "sync_env",
+    "timed",
+    "action",
     "trace",
     "METRICS",
     "Metrics",

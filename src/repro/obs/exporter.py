@@ -10,7 +10,7 @@ keeps three files there live:
   merged back from the verification pool stream too, ``src``-labelled;
 * ``metrics.prom`` — the full metrics snapshot (counters, gauges, latency
   histograms) in Prometheus text exposition format, rewritten at most once
-  per ``REPRO_OBS_EXPORT_INTERVAL`` seconds;
+  per :data:`EXPORT_INTERVAL_S` seconds;
 * ``snapshot.json`` — the same snapshot as a schema-v2 ``metrics-snapshot``
   envelope with pid/timestamp/sequence metadata, the machine-readable twin
   ``python -m repro top`` tails.
@@ -18,12 +18,9 @@ keeps three files there live:
 Both metric files are written atomically (temp file + ``os.replace``) so a
 tailing reader never sees a half-written snapshot.
 
-The exporter re-reads its environment through :meth:`ContinuousExporter.
-sync_env`, which — like the flight recorder's capacity knob — caches the
-*raw* environment strings and only re-parses on change: ``sync_env`` runs at
-every GUI action, and the default (export off) posture must stay within the
-obs-overhead budget (``benchmarks/bench_obs_overhead.py`` measures the
-export-on posture too).
+The export target is read once, when the exporter is built;
+:meth:`ContinuousExporter.force` retargets or silences it in-process (the
+oracle's replays use it to stay out of a live session's stream).
 
 Verification-pool workers inherit the parent's exporter state on fork;
 :func:`repro.obs.snapshot.begin_worker_capture` calls :meth:`suspend` so a
@@ -37,70 +34,60 @@ import json
 import os
 import time
 from pathlib import Path
-from typing import Any, Dict, Optional, TextIO
+from typing import Any, Dict, Optional, TextIO, Union
 
-from repro.config import obs_export_dir, obs_export_interval
+from repro.config import obs_export_dir
+
+#: Minimum seconds between metrics-file rewrites; the JSONL event stream is
+#: unaffected.  ``0`` rewrites after every completed engine action.
+EXPORT_INTERVAL_S = 1.0
+
+#: What :meth:`ContinuousExporter.force` accepts: a directory, ``False``
+#: (export nothing) or ``None`` (the ``REPRO_OBS_EXPORT`` value read at start).
+ExportTarget = Union[str, Path, bool, None]
 
 
 class ContinuousExporter:
-    """Process-wide streaming exporter (single-threaded, like the tracer)."""
+    """Process-wide streaming exporter."""
 
     def __init__(self) -> None:
-        self._dir_raw: Optional[str] = os.environ.get("REPRO_OBS_EXPORT")
-        self._interval_raw: Optional[str] = os.environ.get(
-            "REPRO_OBS_EXPORT_INTERVAL"
-        )
         self._directory: Optional[Path] = None
-        self._interval: float = obs_export_interval()
         self._events_file: Optional[TextIO] = None
         self._last_write: float = 0.0
         self._suspended: bool = False  # set in pool workers, never cleared
+        self._override: ExportTarget = None
         #: Lifetime accounting, reported in every snapshot.json.
         self.events_emitted: int = 0
         self.snapshots_written: int = 0
         self.active: bool = False
-        self._configure(self._dir_raw)
+        self._configured: Optional[str] = obs_export_dir()
+        self._configure(self._configured)
 
     # ------------------------------------------------------------------
     # switching
     # ------------------------------------------------------------------
-    def sync_env(self) -> bool:
-        """Refresh the export target from the environment (per action).
+    def force(self, target: ExportTarget) -> ExportTarget:
+        """Export to directory ``target``, or nowhere with ``False``.
 
-        Raw-string cached: the common case (knob unchanged, usually unset)
-        costs one ``environ`` probe and one comparison — no parsing, no
-        path handling.  Only an actual change pays :meth:`_configure`.  The
-        interval knob is probed only while exporting (or on reconfigure):
-        with export off it cannot matter, and ``sync_env`` runs on every
-        GUI action, so the off posture must stay within the obs-overhead
-        per-call budget.
+        ``None`` restores the ``REPRO_OBS_EXPORT`` value read at start.
+        Returns the override it replaced, so a caller can put it back.
         """
-        raw = os.environ.get("REPRO_OBS_EXPORT")
-        if raw != self._dir_raw:
-            self._dir_raw = raw
-            self._configure(raw)
-            self._interval_raw = os.environ.get("REPRO_OBS_EXPORT_INTERVAL")
-            self._interval = obs_export_interval()
-        elif self.active:
-            interval_raw = os.environ.get("REPRO_OBS_EXPORT_INTERVAL")
-            if interval_raw != self._interval_raw:
-                self._interval_raw = interval_raw
-                self._interval = obs_export_interval()
-        return self.active
+        previous, self._override = self._override, target
+        self._configure(self._configured if target is None else target)
+        return previous
 
-    def _configure(self, raw: Optional[str]) -> None:
+    def _configure(self, target: ExportTarget) -> None:
         if self._events_file is not None:
             try:
                 self._events_file.close()
             except OSError:  # pragma: no cover - close failures are benign
                 pass
             self._events_file = None
-        value = (raw or "").strip()
-        if not value or self._suspended:
+        if not target or self._suspended:
             self._directory = None
             self.active = False
             return
-        self._directory = Path(value)
+        self._directory = Path(target)
         self._directory.mkdir(parents=True, exist_ok=True)
         self.active = True
         self._last_write = 0.0  # first tick writes immediately
@@ -154,16 +141,15 @@ class ContinuousExporter:
     def tick(self, force: bool = False) -> Optional[Path]:
         """Rewrite ``metrics.prom`` + ``snapshot.json`` if the interval is up.
 
-        Called after every completed engine action (and from ``sync_env``'s
-        caller once per action start); the interval knob bounds the file I/O
-        no matter how chatty the session is.  Returns the snapshot path when
-        a write happened.
+        Called after every completed engine action; the interval bounds the
+        file I/O no matter how chatty the session is.  Returns the snapshot
+        path when a write happened.
         """
         if not self.active:
             return None
         now = time.monotonic()
         if not force and self._last_write and \
-                now - self._last_write < self._interval:
+                now - self._last_write < EXPORT_INTERVAL_S:
             return None
         self._last_write = now
         from repro.obs.export import envelope, render_prometheus
@@ -201,6 +187,7 @@ class ContinuousExporter:
         summary).  Skipped entirely — no directory created — while the
         sampler is off or empty.
         """
+        from repro.obs.export import envelope
         from repro.obs.profiler import PROFILER, folded_lines, profile_summary
 
         if not PROFILER.enabled or not PROFILER.samples:
@@ -212,8 +199,6 @@ class ContinuousExporter:
                 "profiles/profile.folded",
                 "\n".join(folded_lines(PROFILER.stacks())) + "\n",
             )
-            from repro.obs.export import envelope
-
             self._atomic_write(
                 "profiles/profile.json",
                 json.dumps(envelope("profile", {
@@ -232,5 +217,6 @@ class ContinuousExporter:
         return path
 
 
-#: The process-wide exporter; inert until ``REPRO_OBS_EXPORT`` is set.
+#: The process-wide exporter; inert unless ``REPRO_OBS_EXPORT`` is set at
+#: start or :meth:`ContinuousExporter.force` names a directory.
 EXPORTER = ContinuousExporter()

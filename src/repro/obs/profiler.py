@@ -17,9 +17,11 @@ sampler (seeded through the :mod:`repro.obs.snapshot` worker-delta
 protocol) and their samples merge home tagged with the worker's name, so
 pooled VF2 chunks appear in the parent's profile under the same request id.
 
-The memory tier is opt-in (``REPRO_PROFILE_MEM=N``): actions and
-arena/index builds are bracketed with ``tracemalloc`` snapshots and the
-top-N allocating lines (by size delta) are kept per site.
+The memory tier is opt-in (:meth:`Profiler.force_mem`, ``repro profile
+--mem N``): actions and arena/index builds are bracketed with
+``tracemalloc`` snapshots and the top-N allocating lines (by size delta) are
+kept per site.  The sampling rate is read once, when the profiler is built;
+:meth:`Profiler.force` changes it in-process.
 
 Everything here is pure stdlib.  The off-path cost is one attribute check
 per action (:data:`_NOOP` is shared), bounded like every other obs surface
@@ -33,14 +35,18 @@ by ``benchmarks/bench_obs_overhead.py``.
 
 from __future__ import annotations
 
-import os
 import sys
 import threading
 import time
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.config import profile_depth, profile_hz, profile_mem_topn
+from repro.config import profile_hz
 from repro.obs import requests as _requests
+
+#: Maximum folded-stack depth per sample.  Frames beyond it are dropped from
+#: the *root* end — the leaf (hot) frames always survive — which bounds both
+#: sampling cost and key length on pathologically deep recursion.
+PROFILE_DEPTH = 64
 
 #: Slice key for samples taken outside any action/request scope.
 _UNSCOPED: Tuple[str, str] = ("", "")
@@ -72,10 +78,7 @@ class Profiler:
     """
 
     def __init__(self) -> None:
-        self._hz_raw = os.environ.get("REPRO_PROFILE_HZ")
-        self._mem_raw = os.environ.get("REPRO_PROFILE_MEM")
-        self._override: Optional[float] = None
-        self._mem_override: Optional[int] = None
+        self._configured_hz: float = profile_hz()
         self._lock = threading.Lock()
         #: thread id -> (request_id or "", action name) for the sampler.
         self._scopes: Dict[int, Tuple[str, str]] = {}
@@ -88,52 +91,29 @@ class Profiler:
         self.hz: float = 0.0
         self.enabled: bool = False
         self.mem_topn: int = 0
-        self.depth: int = profile_depth()
+        self.depth: int = PROFILE_DEPTH
         self._generation = 0
         self._thread: Optional[threading.Thread] = None
         self._thread_id: Optional[int] = None
         self._started_tracemalloc = False
-        self._apply(profile_hz())
-        self._apply_mem(profile_mem_topn())
+        self._apply(self._configured_hz)
 
     # ------------------------------------------------------------------
-    # switching (mirrors Tracer/FlightRecorder: env knob + override)
+    # switching
     # ------------------------------------------------------------------
-    def sync_env(self) -> bool:
-        """Refresh the sampler rate from the environment (called per action).
-
-        Raw-string caching keeps the off-path at one ``environ`` probe and a
-        compare — ``float()`` in try/except per action would blow the
-        ``sync_env`` budget in ``bench_obs_overhead``.
-        """
-        raw = os.environ.get("REPRO_PROFILE_HZ")
-        if raw != self._hz_raw:
-            self._hz_raw = raw
-            if self._override is None:
-                self._apply(profile_hz())
-        mem_raw = os.environ.get("REPRO_PROFILE_MEM")
-        if mem_raw != self._mem_raw:
-            self._mem_raw = mem_raw
-            if self._mem_override is None:
-                self._apply_mem(profile_mem_topn())
-        return self.enabled
-
     def force(self, hz: Optional[float]) -> None:
-        """Install (or with ``None`` remove) a rate override of the env knob."""
-        self._override = hz
-        self._apply(profile_hz() if hz is None else float(hz))
+        """Set the sampling rate; ``None`` restores the value read at start."""
+        self._apply(self._configured_hz if hz is None else float(hz))
 
     def force_mem(self, topn: Optional[int]) -> None:
-        """Install (or with ``None`` remove) a memory-tier top-N override."""
-        self._mem_override = topn
-        self._apply_mem(profile_mem_topn() if topn is None else int(topn))
+        """Set the memory tier's top-N (``None`` or 0 turns it off)."""
+        self.mem_topn = max(int(topn or 0), 0)
 
     def _apply(self, hz: float) -> None:
         hz = min(max(float(hz), 0.0), 1000.0)
         self.hz = hz
         self.enabled = hz > 0.0
         if self.enabled:
-            self.depth = profile_depth()
             if self._thread is None or not self._thread.is_alive():
                 self._generation += 1
                 generation = self._generation
@@ -149,9 +129,6 @@ class Profiler:
             self._generation += 1
             self._thread = None
             self._thread_id = None
-
-    def _apply_mem(self, topn: int) -> None:
-        self.mem_topn = max(int(topn), 0)
 
     # ------------------------------------------------------------------
     # the sampling loop
@@ -360,7 +337,8 @@ class Profiler:
             self.samples = 0
 
 
-#: The process-wide profiler (sampling off until REPRO_PROFILE_HZ/force).
+#: The process-wide profiler (sampling off unless REPRO_PROFILE_HZ is set at
+#: start or :meth:`Profiler.force` sets a rate).
 PROFILER = Profiler()
 
 
@@ -403,28 +381,18 @@ _NOOP = _NoopScope()
 def profile_action(name: str) -> Any:
     """Scope an engine action for sample attribution and memory brackets.
 
-    Composes with the tracer's span on one line::
-
-        with profile_action("new"), span("action.new") as sp:
-            ...
-
-    Costs two attribute loads and a branch when the profiling plane is
-    entirely off.
+    :func:`repro.obs.action` enters it for every engine action.  Costs two
+    attribute loads and a branch when the profiling plane is entirely off.
     """
     if not PROFILER.enabled and not PROFILER.mem_topn:
         return _NOOP
     return _ActionScope(name)
 
 
-def profile_block(site: str) -> Any:
-    """Memory-bracket (and sample-scope) a non-action hot block.
-
-    Used around arena and index builds: with the memory tier on, the top-N
-    allocating lines of the build land in the profile keyed by ``site``.
-    """
-    if not PROFILER.enabled and not PROFILER.mem_topn:
-        return _NOOP
-    return _ActionScope(site)
+#: The same scope around a non-action hot block (arena and index builds):
+#: with the memory tier on, the block's top-N allocating lines land in the
+#: profile keyed ``action.<site>``.
+profile_block = profile_action
 
 
 # ----------------------------------------------------------------------

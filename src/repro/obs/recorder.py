@@ -8,10 +8,9 @@ site appends to — action boundaries, cache hit/miss *transitions* (recorded
 only when the streak flips, so steady-state hits cost one dict probe),
 verification-pool runs and fallbacks, and exceptions with their tracebacks.
 
-It is on by default (``REPRO_RECORDER=0`` disables it; ``docs/``
-``CONFIGURATION.md``) precisely because it only pays off for the failures
-nobody planned to reproduce: the ring holds the last ``REPRO_RECORDER_SIZE``
-events (default 512) at a per-event cost bounded by
+It is always on (``force(False)`` silences it in-process) precisely because
+it only pays off for the failures nobody planned to reproduce: the ring
+holds the last :data:`RECORDER_SIZE` events at a per-event cost bounded by
 ``benchmarks/bench_obs_overhead.py``.
 
 :meth:`FlightRecorder.dump` freezes the ring into a schema-versioned
@@ -33,26 +32,25 @@ harness embeds one in every divergence report, a pool fallback writes one to
 from __future__ import annotations
 
 import json
-import os
 import time
 import traceback as _traceback
 from collections import deque
 from pathlib import Path
 from typing import Any, Deque, Dict, List, Optional, Union
 
-from repro.config import recorder_enabled, recorder_size
 from repro.obs.exporter import EXPORTER as _EXPORTER
 from repro.obs import requests as _requests
 
+#: Ring capacity of the process recorder: it keeps the last 512 events.
+RECORDER_SIZE = 512
+
 
 class FlightRecorder:
-    """Process-wide bounded event ring (single-threaded, like the tracer)."""
+    """Process-wide bounded event ring."""
 
     def __init__(self, size: Optional[int] = None) -> None:
-        self.enabled: bool = recorder_enabled()
-        self._override: Optional[bool] = None
-        self._size: int = recorder_size() if size is None else size
-        self._size_raw = os.environ.get("REPRO_RECORDER_SIZE")
+        self.enabled: bool = True
+        self._size: int = RECORDER_SIZE if size is None else size
         self._events: Deque[Dict[str, Any]] = deque(maxlen=self._size)
         self._seq: int = 0
         self._dumps: int = 0
@@ -63,28 +61,11 @@ class FlightRecorder:
         self.calls: int = 0
 
     # ------------------------------------------------------------------
-    # switching (mirrors Tracer: env knob + programmatic override)
+    # switching
     # ------------------------------------------------------------------
-    def sync_env(self) -> bool:
-        """Refresh ``enabled``/capacity from the environment (per action)."""
-        if self._override is None:
-            self.enabled = recorder_enabled()
-        # Re-parse the capacity only when the raw env string changed: this
-        # runs at every engine action, and int()-in-try/except per call would
-        # dominate sync_env's budget in bench_obs_overhead.
-        raw = os.environ.get("REPRO_RECORDER_SIZE")
-        if raw != self._size_raw:
-            self._size_raw = raw
-            size = recorder_size()
-            if size != self._size:
-                self._size = size
-                self._events = deque(self._events, maxlen=size)
-        return self.enabled
-
     def force(self, enabled: Optional[bool]) -> None:
-        """Install (or with ``None`` remove) an override of the env knob."""
-        self._override = enabled
-        self.enabled = recorder_enabled() if enabled is None else enabled
+        """Switch the recorder on or off; ``None`` restores the default (on)."""
+        self.enabled = True if enabled is None else enabled
 
     def reset(self) -> None:
         """Drop all events and transition memory (test/bench isolation)."""
@@ -101,6 +82,25 @@ class FlightRecorder:
         if not self.enabled:
             return
         self.calls += 1
+        self._append(kind, fields)
+
+    def transition(self, name: str, state: str) -> None:
+        """Record ``name``'s state only when it *changes* (streak compression).
+
+        Cache sites call this per probe; a run of 10 000 hits costs 10 000
+        dict probes but records exactly one event per flip, so the ring holds
+        history instead of noise.
+        """
+        if not self.enabled:
+            return
+        self.calls += 1
+        previous = self._last_state.get(name)
+        if previous == state:
+            return
+        self._last_state[name] = state
+        self._append("transition", {"name": name, "from": previous, "to": state})
+
+    def _append(self, kind: str, fields: Dict[str, Any]) -> None:
         self._seq += 1
         event: Dict[str, Any] = {
             "seq": self._seq,
@@ -120,37 +120,6 @@ class FlightRecorder:
             _EXPORTER.emit(event)
             if kind == "action.end":
                 _EXPORTER.tick()
-
-    def transition(self, name: str, state: str) -> None:
-        """Record ``name``'s state only when it *changes* (streak compression).
-
-        Cache sites call this per probe; a run of 10 000 hits costs 10 000
-        dict probes but records exactly one event per flip, so the ring holds
-        history instead of noise.
-        """
-        if not self.enabled:
-            return
-        self.calls += 1
-        previous = self._last_state.get(name)
-        if previous == state:
-            return
-        self._last_state[name] = state
-        self._seq += 1
-        event = {
-            "seq": self._seq,
-            "t_s": time.perf_counter(),
-            "kind": "transition",
-            "name": name,
-            "from": previous,
-            "to": state,
-        }
-        if _requests._EVER_SCOPED:
-            request_id = getattr(_requests._SCOPE, "request_id", None)
-            if request_id is not None:
-                event["request_id"] = request_id
-        self._events.append(event)
-        if _EXPORTER.active:
-            _EXPORTER.emit(event)
 
     def merge(self, events: List[Dict[str, Any]],
               source: Optional[str] = None) -> None:

@@ -15,7 +15,7 @@ processes seeded explicitly via :func:`set_request_id`, so no further
 plumbing is needed.
 
 :class:`RequestLog` is the always-on completed-request ring behind the
-``/obs`` slowest/recent surfacing: bounded (``REPRO_SLO_REQUEST_LOG``),
+``/obs`` slowest/recent surfacing: bounded (:data:`REQUEST_LOG_SIZE`),
 keyed by request id, cheap enough to run untraced (one lock + dict insert
 per request, bounded by ``bench_obs_overhead``).
 """
@@ -28,7 +28,8 @@ from collections import OrderedDict
 from contextlib import contextmanager
 from typing import Any, Dict, Iterator, List, Optional
 
-from repro.config import slo_request_log_size
+#: Capacity of the process-wide completed-request ring.
+REQUEST_LOG_SIZE = 256
 
 _SCOPE = threading.local()
 
@@ -84,15 +85,10 @@ class RequestLog:
     """
 
     def __init__(self, size: Optional[int] = None) -> None:
-        self._size_override = size
+        self._size = REQUEST_LOG_SIZE if size is None else max(int(size), 1)
         self._lock = threading.Lock()
         self._entries: "OrderedDict[str, Dict[str, Any]]" = OrderedDict()
         self._seq = 0
-
-    def _capacity(self) -> int:
-        if self._size_override is not None:
-            return max(int(self._size_override), 1)
-        return slo_request_log_size()
 
     def record(
         self,
@@ -118,8 +114,7 @@ class RequestLog:
             entry["seq"] = self._seq
             self._entries.pop(entry["request_id"], None)
             self._entries[entry["request_id"]] = entry
-            capacity = self._capacity()
-            while len(self._entries) > capacity:
+            while len(self._entries) > self._size:
                 self._entries.popitem(last=False)
         return dict(entry)
 

@@ -4,7 +4,7 @@ PRAGUE's operational promise is a *latency* promise: per-action work hides
 inside the ≥2 s GUI window (Section VIII-B), so the service's primary SLO
 is "actions complete within the window", with error rate and admission
 rate alongside.  Each objective is a target fraction of *good* samples
-over a rolling time window (``REPRO_SLO_WINDOW``):
+over a rolling time window (:data:`SLO_WINDOW_S`, one hour):
 
 * ``attainment`` — good / total over the window (``None`` with no samples);
 * ``burn_rate`` — ``(1 - attainment) / (1 - target)``: the speed at which
@@ -16,6 +16,9 @@ The tracker takes explicit ``t``/``now`` timestamps (defaulting to
 ``time.monotonic``) so the math is property-testable against a brute-force
 reference without clock control.  Feeds are one deque append under a lock —
 cheap enough for the request hot path, bounded by ``bench_obs_overhead``.
+
+The service feeds the plane through two calls: :func:`record_action_latency`
+once per session action and :func:`record_request` once per HTTP request.
 """
 
 from __future__ import annotations
@@ -27,7 +30,15 @@ from typing import Any, Deque, Dict, Iterable, Optional, Tuple
 
 from collections import deque
 
-from repro.config import slo_action_threshold, slo_window
+from repro.config import DEFAULT_EDGE_LATENCY_SECONDS
+from repro.obs.histogram import observe
+from repro.obs.metrics import count
+from repro.obs.recorder import RECORDER
+from repro.obs.requests import REQUEST_LOG
+
+#: Rolling window, in seconds, over which attainment and burn are computed:
+#: the objectives in ``/obs`` describe the last hour of traffic.
+SLO_WINDOW_S = 3600.0
 
 
 @dataclass(frozen=True)
@@ -73,17 +84,13 @@ class SloTracker:
         self._objectives: Dict[str, SloObjective] = {
             objective.name: objective for objective in objectives
         }
-        self._window_override = window_s
+        self.window_s = SLO_WINDOW_S if window_s is None else \
+            max(float(window_s), 1e-9)
         self._lock = threading.Lock()
         self._samples: Dict[str, Deque[Tuple[float, bool]]] = {
             name: deque(maxlen=max(int(max_samples), 1))
             for name in self._objectives
         }
-
-    def window(self) -> float:
-        if self._window_override is not None:
-            return max(float(self._window_override), 1e-9)
-        return slo_window()
 
     def objectives(self) -> Tuple[SloObjective, ...]:
         return tuple(self._objectives.values())
@@ -101,7 +108,7 @@ class SloTracker:
     def _window_counts_locked(self, name: str, now: float) -> Tuple[int, int]:
         """(good, total) inside the window; prunes aged-out samples."""
         samples = self._samples[name]
-        horizon = now - self.window()
+        horizon = now - self.window_s
         while samples and samples[0][0] < horizon:
             samples.popleft()
         good = sum(1 for _, is_good in samples if is_good)
@@ -122,34 +129,22 @@ class SloTracker:
         objective = self._objectives.get(name)
         if objective is None:
             return None
-        attainment = self.attainment(name, now=now)
-        if attainment is None:
-            return None
-        budget = 1.0 - objective.target
-        if budget <= 0.0:
-            return None  # a 100% objective has no budget to burn
-        return (1.0 - attainment) / budget
+        return _burn(self.attainment(name, now=now), objective.target)
 
     def snapshot(self, now: Optional[float] = None) -> Dict[str, Dict[str, Any]]:
         """Per-objective state, the shape ``/obs`` and ``repro top`` render."""
         if now is None:
             now = time.monotonic()
-        window = self.window()
         out: Dict[str, Dict[str, Any]] = {}
         for name, objective in self._objectives.items():
             with self._lock:
                 good, total = self._window_counts_locked(name, now)
             attainment = good / total if total else None
-            budget = 1.0 - objective.target
-            burn = (
-                (1.0 - attainment) / budget
-                if attainment is not None and budget > 0.0
-                else None
-            )
+            burn = _burn(attainment, objective.target)
             out[name] = {
                 "description": objective.description,
                 "objective": objective.target,
-                "window_s": window,
+                "window_s": self.window_s,
                 "samples": total,
                 "good": good,
                 "bad": total - good,
@@ -168,18 +163,48 @@ class SloTracker:
                 samples.clear()
 
 
+def _burn(attainment: Optional[float], target: float) -> Optional[float]:
+    """``(1 - attainment) / (1 - target)``; ``None`` without samples, or for
+    a 100 % objective, which has no budget to burn."""
+    budget = 1.0 - target
+    if attainment is None or budget <= 0.0:
+        return None
+    return (1.0 - attainment) / budget
+
+
 #: Process-wide tracker over :data:`DEFAULT_OBJECTIVES`.
 SLO = SloTracker()
 
 
 def record_action_latency(elapsed_s: float) -> None:
-    """Feed one session-action latency (threshold: ``REPRO_SLO_ACTION_SECONDS``)."""
-    SLO.record("action_latency", elapsed_s <= slo_action_threshold())
+    """Feed one served session action: the ``service.actions`` counter, the
+    ``service.action`` histogram and the ``action_latency`` objective
+    (good iff within :data:`~repro.config.DEFAULT_EDGE_LATENCY_SECONDS`)."""
+    count("service.actions")
+    observe("service.action", elapsed_s)
+    SLO.record("action_latency", elapsed_s <= DEFAULT_EDGE_LATENCY_SECONDS)
 
 
-def record_request(status: int) -> None:
-    """Feed one completed HTTP request (5xx other than 503 burns budget)."""
+def record_request(
+    request_id: str,
+    method: str,
+    path: str,
+    status: int,
+    duration_s: float,
+    session_id: Optional[str] = None,
+) -> None:
+    """Feed one completed HTTP request: the ``request_errors`` objective (5xx
+    other than 503 burns budget), the :data:`REQUEST_LOG` ring and the
+    ``service.request`` access-log event."""
     SLO.record("request_errors", status < 500 or status == 503)
+    REQUEST_LOG.record(
+        request_id=request_id, method=method, path=path, status=status,
+        duration_s=duration_s, session_id=session_id,
+    )
+    RECORDER.record(
+        "service.request", method=method, path=path, status=status,
+        duration_ms=round(1000.0 * duration_s, 3), session_id=session_id,
+    )
 
 
 def record_admission(admitted: bool) -> None:

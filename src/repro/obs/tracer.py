@@ -11,10 +11,10 @@ The module-level :data:`TRACER` is process-wide and **off by default**: when
 disabled, :func:`span` returns a shared no-op context manager and the only
 cost at an instrumentation site is one attribute load and a branch (the
 bound is enforced by ``benchmarks/bench_obs_overhead.py``).  ``REPRO_TRACE=1``
-enables it (see :func:`repro.config.trace_enabled`); the engine calls
-:func:`sync_env` once per GUI action, so the knob is live.  For programmatic
-use — tests, the ``python -m repro trace`` CLI — :func:`trace` force-enables
-tracing for a block regardless of the environment:
+enables it; the knob is read once, when the tracer is built (see
+:func:`repro.config.trace_enabled`).  In-process changes go through
+:func:`trace`, which force-enables tracing for a block, or
+:meth:`Tracer.force`:
 
 >>> from repro.obs import span, trace
 >>> with trace() as tracer:
@@ -28,19 +28,29 @@ tracing for a block regardless of the environment:
 >>> tracer.roots[0].attrs
 {'kind': 'demo'}
 
-The tracer is per-process and not thread-safe (the engine is single-threaded;
-verification workers are separate *processes* and do not trace).
+Two helpers build on spans.  :func:`timed` is a region whose one clock read
+feeds both its span (when tracing) and its always-on latency histogram.
+:func:`action` is one engine action: the ``action.start``/``action.end``
+recorder pair, the profiler's attribution scope, the ``engine.action.<op>``
+counter and the ``action.<op>`` timed region, in one ``with``.
+
+Each thread has its own stack of open spans, so a span nests only under
+spans its own thread opened: concurrent service sessions never graft their
+trees onto each other.  The list of finished roots is shared.
+Verification workers are separate *processes* and send their telemetry home
+through :mod:`repro.obs.snapshot`.
 """
 
 from __future__ import annotations
 
+import threading
 import time
 from contextlib import contextmanager
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from repro.config import trace_enabled
-from repro.obs.exporter import EXPORTER as _EXPORTER
-from repro.obs.profiler import PROFILER as _PROFILER
+from repro.obs.histogram import observe as _observe
+from repro.obs.profiler import profile_action as _profile_action
 from repro.obs.recorder import RECORDER as _RECORDER
 from repro.obs.requests import current_request_id as _current_request_id
 
@@ -82,29 +92,63 @@ class Span:
         return f"Span({self.name!r}, {1000 * self.duration_seconds:.2f} ms)"
 
 
-class _SpanHandle:
-    """Context manager for one live span (returned by :func:`span`)."""
+class timed:
+    """A timed region: its span and its ``name`` histogram share one clock
+    read.
 
-    __slots__ = ("_tracer", "span")
+    The span exists only while tracing; the histogram sample is always
+    recorded, once the region completes without raising.
+    """
 
-    def __init__(self, tracer: "Tracer", name: str, attrs: Dict[str, Any]) -> None:
-        self._tracer = tracer
+    __slots__ = ("name", "attrs", "span", "start_s", "seconds")
+
+    #: Whether the region feeds its ``name`` histogram.
+    _observed = True
+
+    def __init__(self, name: str, **attrs: Any) -> None:
+        self.name = name
+        self.attrs = attrs
         self.span: Optional[Span] = None
-        # Created eagerly so ``span(...)`` without ``with`` still times from
-        # the call site; __enter__ only registers it in the tree.
-        self.span = Span(name, attrs)
+        self.seconds: Optional[float] = None
 
-    def __enter__(self) -> "_SpanHandle":
-        self._tracer._open(self.span)
+    def __enter__(self) -> "timed":
+        if TRACER.enabled:
+            self.span = Span(self.name, self.attrs)
+            TRACER._open(self.span)
+            self.start_s = self.span.start_s
+        else:
+            self.start_s = time.perf_counter()
         return self
 
-    def __exit__(self, *exc) -> bool:
-        self._tracer._close(self.span)
+    def set(self, **attrs: Any) -> None:
+        """Attach/overwrite attributes (the span shares this dict)."""
+        self.attrs.update(attrs)
+
+    def stop(self) -> float:
+        """The region's duration, frozen by the first call.
+
+        Call it where the caller's own report needs the number; the span's
+        end and the histogram sample then use the same reading.
+        """
+        if self.seconds is None:
+            self.seconds = time.perf_counter() - self.start_s
+        return self.seconds
+
+    def __exit__(self, exc_type, exc, tb) -> bool:
+        seconds = self.stop()
+        if self.span is not None:
+            TRACER._close(self.span, self.start_s + seconds)
+        if exc_type is None and self._observed:
+            _observe(self.name, seconds)
         return False
 
-    def set(self, **attrs: Any) -> None:
-        """Attach/overwrite attributes on this span (usable after exit)."""
-        self.span.attrs.update(attrs)
+
+class _SpanHandle(timed):
+    """A span with no histogram: the handle :func:`span` returns while
+    tracing."""
+
+    __slots__ = ()
+    _observed = False
 
 
 class _NoopHandle:
@@ -129,7 +173,7 @@ class Tracer:
     """Process-wide span collector.
 
     ``enabled`` is a plain bool so hot paths pay one attribute load to skip
-    instrumentation.  It follows ``REPRO_TRACE`` (via :func:`sync_env`)
+    instrumentation.  It holds the ``REPRO_TRACE`` value read at start
     unless an override is installed by :meth:`force` / :func:`trace`.
     """
 
@@ -138,32 +182,36 @@ class Tracer:
     MAX_ROOTS = 4096
 
     def __init__(self) -> None:
-        self.enabled: bool = trace_enabled()
+        self._configured: bool = trace_enabled()
+        self.enabled: bool = self._configured
         self._override: Optional[bool] = None
-        self._stack: List[Span] = []
+        self._local = threading.local()
         self.roots: List[Span] = []
+
+    @property
+    def _stack(self) -> List[Span]:
+        """The calling thread's stack of open spans."""
+        try:
+            return self._local.stack
+        except AttributeError:
+            stack = self._local.stack = []
+            return stack
 
     # ------------------------------------------------------------------
     # switching
     # ------------------------------------------------------------------
-    def sync_env(self) -> bool:
-        """Refresh ``enabled`` from ``REPRO_TRACE`` (unless overridden)."""
-        if self._override is None:
-            self.enabled = trace_enabled()
-        return self.enabled
-
     def force(self, enabled: Optional[bool]) -> None:
-        """Install (or with ``None`` remove) an override of the env knob."""
+        """Install an override; ``None`` restores the value read at start."""
         self._override = enabled
-        self.enabled = trace_enabled() if enabled is None else enabled
+        self.enabled = self._configured if enabled is None else enabled
 
     def reset(self) -> None:
-        """Drop all collected spans (including any left open)."""
+        """Drop all collected spans (and any left open on this thread)."""
         self._stack.clear()
         self.roots.clear()
 
     def unwind(self, depth: int) -> None:
-        """Close and pop every open span above ``depth`` (exception cleanup).
+        """Close and pop every span this thread opened above ``depth``.
 
         When a traced block raises past a span that was entered but never
         exited (a hand-entered handle, an abandoned generator), the open
@@ -171,18 +219,20 @@ class Tracer:
         later spans.  :func:`trace` calls this on the way out so the stack
         is always restored to its entry depth.
         """
+        stack = self._stack
         now = time.perf_counter()
-        while len(self._stack) > depth:
-            abandoned = self._stack.pop()
+        while len(stack) > depth:
+            abandoned = stack.pop()
             if abandoned.end_s is None:
                 abandoned.end_s = now
 
     # ------------------------------------------------------------------
-    # span lifecycle (called by _SpanHandle)
+    # span lifecycle (called by timed)
     # ------------------------------------------------------------------
     def _open(self, span: Span) -> None:
-        if self._stack:
-            self._stack[-1].children.append(span)
+        stack = self._stack
+        if stack:
+            stack[-1].children.append(span)
         else:
             # Root spans carry the HTTP correlation id (children inherit by
             # tree position); ``/v1/requests/<id>`` selects roots by it.
@@ -192,31 +242,29 @@ class Tracer:
             self.roots.append(span)
             if len(self.roots) > self.MAX_ROOTS:
                 del self.roots[: len(self.roots) - self.MAX_ROOTS]
-        self._stack.append(span)
+        stack.append(span)
 
-    def _close(self, span: Span) -> None:
-        span.end_s = time.perf_counter()
+    def _close(self, span: Span, end_s: float) -> None:
+        span.end_s = end_s
         # Tolerate out-of-order closes (e.g. a generator finalised late):
         # pop up to and including this span if present, else ignore.
-        if any(entry is span for entry in self._stack):
-            while self._stack:
-                if self._stack.pop() is span:
+        stack = self._stack
+        if any(entry is span for entry in stack):
+            while stack:
+                if stack.pop() is span:
                     break
-
-    def _iter_all(self) -> Iterator[Tuple[Span, int]]:
-        for root in self.roots:
-            yield from root.walk()
 
     # ------------------------------------------------------------------
     # queries
     # ------------------------------------------------------------------
     def current(self) -> Optional[Span]:
-        """The innermost open span, if any."""
-        return self._stack[-1] if self._stack else None
+        """The innermost span open on this thread, if any."""
+        stack = self._stack
+        return stack[-1] if stack else None
 
     def span_count(self) -> int:
         """Total number of recorded spans across all root trees."""
-        return sum(1 for _ in self._iter_all())
+        return sum(1 for root in self.roots for _ in root.walk())
 
 
 #: The process-wide tracer every instrumentation site consults.
@@ -231,7 +279,7 @@ def span(name: str, **attrs: Any):
     """
     if not TRACER.enabled:
         return _NOOP
-    return _SpanHandle(TRACER, name, attrs)
+    return _SpanHandle(name, **attrs)
 
 
 def add_attrs(**attrs: Any) -> None:
@@ -243,24 +291,48 @@ def add_attrs(**attrs: Any) -> None:
         current.attrs.update(attrs)
 
 
-def sync_env() -> bool:
-    """Refresh the observability switches from the environment.
+class action(timed):
+    """Observe one engine action ``op`` (``new``, ``modify``, …) in one call.
 
-    Called at engine action entry: re-reads ``REPRO_TRACE`` for the tracer,
-    ``REPRO_RECORDER``/``REPRO_RECORDER_SIZE`` for the flight recorder,
-    ``REPRO_OBS_EXPORT``/``REPRO_OBS_EXPORT_INTERVAL`` for the continuous
-    exporter and ``REPRO_PROFILE_HZ``/``REPRO_PROFILE_MEM`` for the
-    statistical sampler, so flipping any knob mid-process takes effect at
-    the next action.  All four cache the raw environment strings, so the
-    per-action cost with everything at its default is a handful of
-    ``environ`` probes (bounded by ``benchmarks/bench_obs_overhead.py``).
-    Returns the tracer's enabled state (the historical contract).
+    Entering records ``action.start`` and opens the profiler scope, the
+    ``action.<op>`` span (when tracing) and the ``engine.action.<op>``
+    counter (when tracing).  The handle's :meth:`~timed.set` fills the
+    span's attributes and the ``action.end`` event's fields alike, and
+    :meth:`~timed.stop` gives the action's processing time — the same
+    number the ``action.<op>`` histogram and ``action.end`` receive.
+
+    >>> from repro.obs import RECORDER, action
+    >>> with action("demo") as act:
+    ...     act.set(edge=1)
+    >>> [e["kind"] for e in RECORDER.snapshot()[-2:]]
+    ['action.start', 'action.end']
     """
-    _RECORDER.sync_env()
-    _PROFILER.sync_env()
-    if _EXPORTER.sync_env():
-        _EXPORTER.tick()
-    return TRACER.sync_env()
+
+    __slots__ = ("op", "_scope")
+
+    def __init__(self, op: str) -> None:
+        super().__init__("action." + op)
+        self.op = op
+
+    def __enter__(self) -> "action":
+        _RECORDER.record("action.start", op=self.op)
+        self._scope = _profile_action(self.op)
+        self._scope.__enter__()
+        super().__enter__()
+        if TRACER.enabled:
+            from repro.obs.metrics import METRICS
+
+            METRICS.inc("engine.action." + self.op)
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> bool:
+        super().__exit__(exc_type, exc, tb)
+        self._scope.__exit__(exc_type, exc, tb)
+        if exc_type is None:
+            _RECORDER.record(
+                "action.end", op=self.op, **self.attrs, seconds=self.seconds
+            )
+        return False
 
 
 @contextmanager
@@ -268,10 +340,10 @@ def trace(reset: bool = True):
     """Force-enable tracing for a block and yield the tracer.
 
     Exception-safe: if the block raises, the tracer's prior enabled/override
-    state is restored and any span left open inside the block is closed and
-    popped (``Tracer.unwind``), so a failing traced block can never corrupt
-    the next one.  With ``reset=True`` (the default) the span forest, the
-    metrics registry and the latency histograms all start empty.
+    state is restored and any span this thread left open inside the block is
+    closed and popped (``Tracer.unwind``), so a failing traced block can
+    never corrupt the next one.  With ``reset=True`` (the default) the span
+    forest, the metrics registry and the latency histograms all start empty.
 
     >>> from repro.obs import span, trace
     >>> with trace() as tracer:

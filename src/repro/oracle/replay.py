@@ -26,6 +26,7 @@ from typing import Any, Dict, List, Optional, Tuple
 from repro.core import verification
 from repro.core.prague import PragueEngine
 from repro.graph import canonical
+from repro.obs.exporter import EXPORTER
 from repro.obs.recorder import RECORDER
 from repro.oracle.corpus import OracleCorpus, corpus_for
 from repro.oracle.trace import SessionTrace, apply_action, observe_step
@@ -65,20 +66,20 @@ CONFIG_MATRIX: Tuple[OracleConfig, ...] = tuple(
 ORACLE_POOL_MIN_CANDIDATES = 16
 
 
-#: Knobs every matrix cell pins *off* regardless of the ambient environment:
-#: a replay sweep must never stream telemetry into a live session's export
-#: directory (interleaved JSONL from dozens of replays would poison it), and
-#: the extra file I/O would skew the step timings the oracles compare.
-_ISOLATED_ENV = {"REPRO_OBS_EXPORT": ""}
-
-
 @contextmanager
 def applied(config: OracleConfig):
     """Temporarily install ``config``'s environment and the oracle pool
-    floor (and isolate the LRU)."""
-    patch = {**config.env(), **_ISOLATED_ENV}
+    floor (and isolate the LRU).
+
+    Continuous export is switched off for the duration: a replay sweep must
+    never stream telemetry into a live session's export directory
+    (interleaved JSONL from dozens of replays would poison it), and the
+    extra file I/O would skew the step timings the oracles compare.
+    """
+    patch = config.env()
     saved = {key: os.environ.get(key) for key in patch}
     saved_floor = verification.POOL_MIN_CANDIDATES
+    saved_export = EXPORTER.force(False)
     os.environ.update(patch)
     verification.POOL_MIN_CANDIDATES = ORACLE_POOL_MIN_CANDIDATES
     canonical.clear_cache()  # no memo carry-over between replays
@@ -86,6 +87,7 @@ def applied(config: OracleConfig):
         yield
     finally:
         verification.POOL_MIN_CANDIDATES = saved_floor
+        EXPORTER.force(saved_export)
         for key, value in saved.items():
             if value is None:
                 os.environ.pop(key, None)

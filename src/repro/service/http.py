@@ -21,9 +21,10 @@ Every body is a :mod:`repro.service.protocol` envelope.  Every request is
 route inside :func:`repro.obs.requests.request_scope` — so every recorder
 event, every root span, and (via the worker-context hop in
 :mod:`repro.obs.snapshot`) every pool-worker event produced while serving
-the request carries the same id.  Completion is logged twice: a structured
-``service.request`` access-log event in the flight recorder (and therefore
-the JSONL export), and an entry in the always-on
+the request carries the same id.  Completion is one
+:func:`repro.obs.slo.record_request` call: the error-rate SLO sample, a
+structured ``service.request`` access-log event in the flight recorder (and
+therefore the JSONL export), and an entry in the always-on
 :data:`~repro.obs.requests.REQUEST_LOG` ring behind ``/obs``'s
 slowest-requests view and ``GET /v1/requests/<rid>`` postmortem lookups.
 """
@@ -144,13 +145,19 @@ class ServiceHandler(BaseHTTPRequestHandler):
         try:
             super().handle_one_request()
         except (BrokenPipeError, ConnectionResetError):
-            METRICS.inc("service.client_disconnects")
-            RECORDER.record(
-                "service.disconnect",
-                path=getattr(self, "path", "?"),
-                status=getattr(self, "_status", 0),
-            )
-            self.close_connection = True
+            self._disconnected()
+
+    def _disconnected(self) -> None:
+        """The client hung up mid-stream.  Counted directly on the registry
+        (not the trace-gated ``count()``): disconnect storms matter
+        precisely when nobody thought to enable tracing."""
+        METRICS.inc("service.client_disconnects")
+        RECORDER.record(
+            "service.disconnect",
+            path=getattr(self, "path", "?"),
+            status=getattr(self, "_status", 0),
+        )
+        self.close_connection = True
 
     def _send(self, status: int, payload: Dict[str, Any]) -> None:
         self._status = status
@@ -163,14 +170,7 @@ class ServiceHandler(BaseHTTPRequestHandler):
             self.end_headers()
             self.wfile.write(body)
         except (BrokenPipeError, ConnectionResetError):
-            # The client hung up mid-write.  Counted directly on the
-            # registry (not the trace-gated count()): disconnect storms
-            # matter precisely when nobody thought to enable tracing.
-            METRICS.inc("service.client_disconnects")
-            RECORDER.record(
-                "service.disconnect", path=self.path, status=status
-            )
-            self.close_connection = True
+            self._disconnected()
 
     def _read_body(self) -> Dict[str, Any]:
         length = int(self.headers.get("Content-Length") or 0)
@@ -206,23 +206,9 @@ class ServiceHandler(BaseHTTPRequestHandler):
                     # framing is shot, so don't reuse it.
                     self.close_connection = True
                 self._send(status_for(exc), error_response(exc))
-            duration = time.perf_counter() - start
-            record_request(self._status)
-            REQUEST_LOG.record(
-                request_id=self._request_id,
-                method=method,
-                path=self.path,
-                status=self._status,
-                duration_s=duration,
-                session_id=self._session_id,
-            )
-            RECORDER.record(
-                "service.request",
-                method=method,
-                path=self.path,
-                status=self._status,
-                duration_ms=round(1000.0 * duration, 3),
-                session_id=self._session_id,
+            record_request(
+                self._request_id, method, self.path, self._status,
+                time.perf_counter() - start, self._session_id,
             )
 
     # -- routes --------------------------------------------------------

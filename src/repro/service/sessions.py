@@ -35,7 +35,6 @@ from repro.core.plane import SharedPlane
 from repro.core.prague import RunReport
 from repro.core.undo import UndoableEngine
 from repro.exceptions import ReproError
-from repro.obs.histogram import observe
 from repro.obs.metrics import count, gauge
 from repro.obs.recorder import RECORDER
 from repro.obs.slo import record_action_latency, record_admission
@@ -219,8 +218,6 @@ class SessionManager:
             session.latencies.append(elapsed)
             if isinstance(result, RunReport):
                 session.last_run_seconds = result.processing_seconds
-            count("service.actions")
-            observe("service.action", elapsed)
             record_action_latency(elapsed)
         return session, result
 

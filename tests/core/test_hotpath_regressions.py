@@ -217,17 +217,17 @@ class _TickClock:
 
 
 def _patch_engine_clock(monkeypatch, clock):
-    """Tick the clock for the engine's reads only.
+    """Tick the clock for the engine's and its timed regions' reads only.
 
-    ``repro.core.prague`` resolves ``time.perf_counter`` through its module
-    global, so swapping that one reference isolates the tick accounting from
-    every *other* instrumented module (recorder, histograms, index lookups)
-    that shares the real stdlib ``time``.
+    ``repro.core.prague`` (the SPIG timing) and ``repro.obs.tracer`` (every
+    action and timed region) resolve ``time.perf_counter`` through their
+    module globals, so swapping those two references isolates the tick
+    accounting from every *other* instrumented module (recorder, index
+    lookups) that shares the real stdlib ``time``.
     """
-    monkeypatch.setattr(
-        "repro.core.prague.time",
-        types.SimpleNamespace(perf_counter=clock.perf_counter),
-    )
+    fake = types.SimpleNamespace(perf_counter=clock.perf_counter)
+    monkeypatch.setattr("repro.core.prague.time", fake)
+    monkeypatch.setattr("repro.obs.tracer.time", fake)
 
 
 class TestImplicitSimilarityTiming:
@@ -260,13 +260,16 @@ class TestImplicitSimilarityTiming:
         sim_report = engine.history[-2]
         edge_report = engine.history[-1]
         assert sim_report.action is Action.SIM_QUERY
-        # enable_similarity reads the clock twice: 1 tick of processing.
-        assert sim_report.processing_seconds == pytest.approx(1.0)
-        # add_edge reads it four times after the dialogue resolved: its
-        # window (3 ticks) starts after the similarity window closed —
-        # neither double-counted nor dropped.
-        assert edge_report.processing_seconds == pytest.approx(3.0)
-        assert edge_report.spig_seconds == pytest.approx(1.0)
+        # enable_similarity reads the clock four times: its action window
+        # opens and closes around the candidates.similar region's two
+        # reads, so 3 ticks of processing.
+        assert sim_report.processing_seconds == pytest.approx(3.0)
+        # add_edge reads it eight times after the dialogue resolved: its
+        # window (7 ticks: the SPIG pair around the spig.construct region,
+        # then the candidates.similar region) starts after the similarity
+        # window closed — neither double-counted nor dropped.
+        assert edge_report.processing_seconds == pytest.approx(7.0)
+        assert edge_report.spig_seconds == pytest.approx(3.0)
 
     def test_session_totals_count_each_report_once(
         self, small_db, small_indexes, monkeypatch

@@ -1,11 +1,11 @@
-"""The continuous exporter: live files, cached knob parsing, worker safety.
+"""The continuous exporter: live files, its switch, worker safety.
 
-``REPRO_OBS_EXPORT`` turns a session into a streamed one: every recorder
+An export directory turns a session into a streamed one: every recorder
 event appends to ``events.jsonl`` and the metrics snapshot lands in
 ``metrics.prom``/``snapshot.json`` at most once per interval.  These tests
 pin the file formats (schema-v2 envelopes, Prometheus text exposition), the
-raw-string caching of ``sync_env`` (the satellite bugfix — export off must
-cost two env probes, not a parse), and worker suspension.
+switch (``REPRO_OBS_EXPORT`` read once at start, ``force()`` afterwards),
+and worker suspension.
 """
 
 import json
@@ -14,18 +14,27 @@ from unittest import mock
 
 import pytest
 
-from repro import obs
+from repro.obs import exporter as exporter_module
 from repro.obs.exporter import EXPORTER, ContinuousExporter
 
 
 @pytest.fixture
 def exporter(tmp_path):
-    """A fresh (non-singleton) exporter pointed at a temp directory."""
-    with mock.patch.dict(os.environ, {
-        "REPRO_OBS_EXPORT": str(tmp_path),
-        "REPRO_OBS_EXPORT_INTERVAL": "0",
-    }):
+    """A fresh (non-singleton) exporter built with the knob set."""
+    with mock.patch.dict(os.environ, {"REPRO_OBS_EXPORT": str(tmp_path)}), \
+            mock.patch.object(exporter_module, "EXPORT_INTERVAL_S", 0.0):
         yield ContinuousExporter(), tmp_path
+
+
+@pytest.fixture
+def streaming_singleton(tmp_path):
+    """The process exporter forced into a temp directory, interval 0."""
+    previous = EXPORTER.force(tmp_path)
+    try:
+        with mock.patch.object(exporter_module, "EXPORT_INTERVAL_S", 0.0):
+            yield tmp_path
+    finally:
+        EXPORTER.force(previous)
 
 
 class TestStreaming:
@@ -92,14 +101,12 @@ class TestStreaming:
         assert not (directory / "profiles").exists()
 
     def test_interval_gates_snapshot_rewrites(self, tmp_path):
-        with mock.patch.dict(os.environ, {
-            "REPRO_OBS_EXPORT": str(tmp_path),
-            "REPRO_OBS_EXPORT_INTERVAL": "3600",
-        }):
-            exp = ContinuousExporter()
-        assert exp.tick() is not None  # first tick always writes
-        assert exp.tick() is None      # next one waits for the interval
-        assert exp.tick(force=True) is not None
+        exp = ContinuousExporter()
+        exp.force(tmp_path)
+        with mock.patch.object(exporter_module, "EXPORT_INTERVAL_S", 3600.0):
+            assert exp.tick() is not None  # first tick always writes
+            assert exp.tick() is None      # next one waits for the interval
+            assert exp.tick(force=True) is not None
         assert exp.snapshots_written == 2
 
     def test_inactive_without_the_knob(self):
@@ -111,41 +118,30 @@ class TestStreaming:
         assert exp.events_emitted == 0
 
 
-class TestSyncEnvCaching:
-    def test_unchanged_env_never_reparses(self, exporter):
-        exp, _ = exporter
-        with mock.patch.object(
-            exp, "_configure", wraps=exp._configure
-        ) as configure:
-            for _ in range(5):
-                assert exp.sync_env() is True
-        configure.assert_not_called()
-
-    def test_changed_dir_reconfigures_once(self, exporter, tmp_path):
-        exp, _ = exporter
-        other = tmp_path / "elsewhere"
-        os.environ["REPRO_OBS_EXPORT"] = str(other)
-        assert exp.sync_env() is True
-        assert other.is_dir()  # reconfigure created the new target
-        with mock.patch.object(
-            exp, "_configure", wraps=exp._configure
-        ) as configure:
-            exp.sync_env()
-        configure.assert_not_called()
-
-    def test_clearing_the_knob_deactivates(self, exporter):
-        exp, _ = exporter
+class TestSwitch:
+    def test_force_retargets_and_none_restores_the_start_value(
+        self, exporter
+    ):
+        exp, directory = exporter
+        other = directory / "elsewhere"
+        assert exp.force(other) is None  # no override was installed
+        assert other.is_dir()
         exp.emit({"seq": 1, "t_s": 0.0, "kind": "x"})
-        os.environ["REPRO_OBS_EXPORT"] = ""
-        assert exp.sync_env() is False
+        assert (other / "events.jsonl").exists()
+        assert exp.force(False) == other
         assert not exp.active
+        assert exp.force(None) is False
+        assert exp.active
+        exp.emit({"seq": 2, "t_s": 0.0, "kind": "x"})
+        assert (directory / "events.jsonl").exists()
 
-    def test_interval_reparses_only_on_change(self, exporter):
-        exp, _ = exporter
-        assert exp._interval == 0.0
-        os.environ["REPRO_OBS_EXPORT_INTERVAL"] = "2.5"
-        exp.sync_env()
-        assert exp._interval == 2.5
+    def test_environment_changes_after_start_are_not_read(self, tmp_path):
+        with mock.patch.dict(os.environ, {"REPRO_OBS_EXPORT": ""}):
+            exp = ContinuousExporter()
+            os.environ["REPRO_OBS_EXPORT"] = str(tmp_path)
+            exp.emit({"seq": 1, "t_s": 0.0, "kind": "x"})
+        assert not exp.active
+        assert not (tmp_path / "events.jsonl").exists()
 
 
 class TestWorkerSuspension:
@@ -155,10 +151,11 @@ class TestWorkerSuspension:
         assert not exp.active
         exp.emit({"seq": 1, "t_s": 0.0, "kind": "x"})
         assert not (directory / "events.jsonl").exists()
-        # even a sync_env that re-reads an exporting env stays suspended
-        assert exp.sync_env() is False
-        os.environ["REPRO_OBS_EXPORT"] = str(directory / "sub")
-        assert exp.sync_env() is False
+        # even forcing a new target leaves it suspended
+        exp.force(directory / "sub")
+        assert not exp.active
+        exp.force(None)
+        assert not exp.active
 
     def test_suspend_does_not_close_the_parents_handle(self, exporter):
         exp, directory = exporter
@@ -170,20 +167,14 @@ class TestWorkerSuspension:
 
 
 class TestGlobalWiring:
-    def test_session_streams_through_the_singleton(self, tmp_path):
-        """End-to-end: a traced CLI session with the knob set leaves all
-        three export files behind, and replays (the oracle isolation patch)
-        never pollute the stream."""
+    def test_session_streams_through_the_singleton(self, streaming_singleton):
+        """End-to-end: a traced CLI session with export on leaves all
+        three export files behind."""
         from repro.cli import main
 
-        with mock.patch.dict(os.environ, {
-            "REPRO_OBS_EXPORT": str(tmp_path),
-            "REPRO_OBS_EXPORT_INTERVAL": "0",
-        }):
-            assert main(["trace", "--seed", "1"]) == 0
-        # restore the singleton to the (knob-less) ambient environment
-        assert obs.sync_env() is not None
-        assert not EXPORTER.active
+        tmp_path = streaming_singleton
+        assert main(["trace", "--seed", "1"]) == 0
+        assert EXPORTER.active
         assert (tmp_path / "events.jsonl").stat().st_size > 0
         assert (tmp_path / "metrics.prom").stat().st_size > 0
         snap = json.loads((tmp_path / "snapshot.json").read_text())
@@ -191,12 +182,16 @@ class TestGlobalWiring:
         for line in (tmp_path / "events.jsonl").read_text().splitlines():
             assert json.loads(line)["kind"] == "obs-event"
 
-    def test_oracle_replays_are_isolated_from_export(self, tmp_path):
-        from repro.oracle.replay import REFERENCE_CONFIG, applied
+    def test_oracle_replays_are_isolated_from_export(
+        self, streaming_singleton
+    ):
+        from repro.oracle.fuzzer import generate_trace
+        from repro.oracle.replay import REFERENCE_CONFIG, applied, replay_trace
 
-        with mock.patch.dict(os.environ, {
-            "REPRO_OBS_EXPORT": str(tmp_path),
-        }):
-            with applied(REFERENCE_CONFIG):
-                assert os.environ["REPRO_OBS_EXPORT"] == ""
-            assert os.environ["REPRO_OBS_EXPORT"] == str(tmp_path)
+        tmp_path = streaming_singleton
+        with applied(REFERENCE_CONFIG):
+            assert not EXPORTER.active
+        assert EXPORTER.active
+        replay_trace(generate_trace(seed=1), REFERENCE_CONFIG)
+        assert EXPORTER.active
+        assert not (tmp_path / "events.jsonl").exists()

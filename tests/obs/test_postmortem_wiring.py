@@ -16,7 +16,6 @@ import pytest
 
 import repro.core.exact as exact_mod
 import repro.core.verification as verif
-from repro import obs
 from repro.cli import main
 from repro.obs.recorder import RECORDER
 from repro.oracle import check_session, generate_trace
@@ -33,7 +32,6 @@ def _recorder_on():
     yield
     RECORDER.force(None)
     RECORDER.reset()
-    obs.sync_env()
 
 
 def _chunk_worker(payload):

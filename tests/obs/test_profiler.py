@@ -86,13 +86,20 @@ class TestSamplerLifecycle:
         time.sleep(0.05)
         assert PROFILER.samples == settled
 
-    def test_sync_env_picks_up_the_knob(self, monkeypatch):
+    def test_knob_is_read_once_and_force_none_restores_it(
+        self, monkeypatch
+    ):
         monkeypatch.setenv("REPRO_PROFILE_HZ", "125")
-        assert PROFILER.sync_env() is True
-        assert PROFILER.hz == 125.0
-        monkeypatch.delenv("REPRO_PROFILE_HZ")
-        assert PROFILER.sync_env() is False
-        assert not PROFILER.enabled
+        profiler = Profiler()
+        try:
+            assert profiler.enabled and profiler.hz == 125.0
+            monkeypatch.delenv("REPRO_PROFILE_HZ")
+            profiler.force(0.0)
+            assert not profiler.enabled
+            profiler.force(None)
+            assert profiler.hz == 125.0
+        finally:
+            profiler.force(0.0)
 
     def test_rate_is_clamped_to_the_documented_bound(self):
         PROFILER.force(1e9)

@@ -1,18 +1,20 @@
-"""Flight recorder: ring bound, env gating, dedup, and answer-neutrality.
+"""Flight recorder: ring bound, switch, dedup, and answer-neutrality.
 
 The recorder is the always-on black box; these tests pin its four promises:
-the ring is bounded (oldest events drop, drop count reported), the
-``REPRO_RECORDER``/``REPRO_RECORDER_SIZE`` knobs gate it per action,
-``transition`` compresses streaks to flips, and — the one that matters most
-— turning it on or off never changes a session's observations.
+the ring is bounded (oldest events drop, drop count reported), ``force()``
+switches it in-process, ``transition`` compresses streaks to flips, and —
+the one that matters most — turning it on or off never changes a session's
+observations.
 """
 
 import json
-import os
-from unittest import mock
 
-from repro import obs
-from repro.obs.recorder import RECORDER, FlightRecorder, render_postmortem
+from repro.obs.recorder import (
+    RECORDER,
+    RECORDER_SIZE,
+    FlightRecorder,
+    render_postmortem,
+)
 from repro.oracle.diff import first_divergence
 from repro.oracle.fuzzer import generate_trace
 from repro.oracle.replay import REFERENCE_CONFIG, replay_trace
@@ -87,53 +89,43 @@ def test_dump_render_roundtrip_through_json():
 
 
 def test_env_knobs_gate_the_process_recorder():
-    with mock.patch.dict(os.environ, {"REPRO_RECORDER": "0"}):
-        obs.sync_env()
+    """``force()`` gates the process recorder; the ring keeps the last
+    :data:`RECORDER_SIZE` events."""
+    RECORDER.force(False)
+    try:
         assert not RECORDER.enabled
         before = len(RECORDER.snapshot())
         RECORDER.record("should.not.appear")
         assert len(RECORDER.snapshot()) == before
-    with mock.patch.dict(
-        os.environ, {"REPRO_RECORDER": "1", "REPRO_RECORDER_SIZE": "16"}
-    ):
-        obs.sync_env()
-        assert RECORDER.enabled
-        for i in range(40):
-            RECORDER.record("fill", i=i)
-        assert len(RECORDER.snapshot()) == 16
-    obs.sync_env()
+    finally:
+        RECORDER.force(None)
+    assert RECORDER.enabled
+    RECORDER.reset()
+    for i in range(RECORDER_SIZE + 24):
+        RECORDER.record("fill", i=i)
+    assert len(RECORDER.snapshot()) == RECORDER_SIZE
     RECORDER.reset()
 
 
-def test_recorder_size_floor_is_sixteen():
-    with mock.patch.dict(os.environ, {"REPRO_RECORDER_SIZE": "2"}):
-        obs.sync_env()
-        for i in range(40):
-            RECORDER.record("fill", i=i)
-        assert len(RECORDER.snapshot()) == 16
-    obs.sync_env()
+def _observations(trace, recording):
+    RECORDER.force(recording)
     RECORDER.reset()
-
-
-def _observations(trace, recorder_env):
-    with mock.patch.dict(os.environ, {"REPRO_RECORDER": recorder_env}):
-        obs.sync_env()
-        RECORDER.reset()
+    try:
         session = replay_trace(trace, REFERENCE_CONFIG)
-    obs.sync_env()
-    RECORDER.reset()
+    finally:
+        RECORDER.force(None)
+        RECORDER.reset()
     return session.observations
 
 
 def test_recorder_never_changes_answers():
-    """REPRO_RECORDER=0 vs =1 must be byte-identical through the differ."""
+    """Recorder off vs on must be byte-identical through the differ."""
     for seed in (0, 9, 23):
         trace = generate_trace(seed=seed)
-        off = _observations(trace, "0")
-        on = _observations(trace, "1")
+        off = _observations(trace, False)
+        on = _observations(trace, True)
         divergence = first_divergence(
-            off, on, left="REPRO_RECORDER=0", right="REPRO_RECORDER=1",
-            kind="obs",
+            off, on, left="recorder off", right="recorder on", kind="obs",
         )
         assert divergence is None, divergence
         assert len(off) == len(on) == len(trace)
@@ -142,11 +134,12 @@ def test_recorder_never_changes_answers():
 def test_recorder_actually_recorded_the_on_leg():
     """Guard the guard: the enabled leg really captured engine events."""
     trace = generate_trace(seed=9)
-    with mock.patch.dict(os.environ, {"REPRO_RECORDER": "1"}):
-        obs.sync_env()
-        RECORDER.reset()
+    RECORDER.force(True)
+    RECORDER.reset()
+    try:
         replay_trace(trace, REFERENCE_CONFIG)
         kinds = {e["kind"] for e in RECORDER.snapshot()}
-    obs.sync_env()
-    RECORDER.reset()
+    finally:
+        RECORDER.force(None)
+        RECORDER.reset()
     assert "action.start" in kinds or "transition" in kinds

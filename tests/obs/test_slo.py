@@ -151,11 +151,30 @@ class TestSingletonFeeds:
         assert (snap["good"], snap["bad"]) == (1, 1)
 
     def test_record_request_spares_admission_rejections(self):
-        for status in (200, 404, 503):
-            record_request(status)
-        record_request(500)
+        for status in (200, 404, 503, 500):
+            record_request(f"slo-{status}", "GET", "/probe", status, 0.001)
         snap = SLO.snapshot()["request_errors"]
         assert (snap["good"], snap["bad"]) == (3, 1)
+
+    def test_record_request_feeds_the_ring_and_the_access_log(self):
+        from repro.obs.recorder import RECORDER
+        from repro.obs.requests import REQUEST_LOG
+
+        record_request("slo-feed", "POST", "/v1/x", 201, 0.002, "sid")
+        entry = REQUEST_LOG.get("slo-feed")
+        assert (entry["status"], entry["session"]) == (201, "sid")
+        (event,) = [e for e in RECORDER.snapshot()
+                    if e["kind"] == "service.request"
+                    and e.get("path") == "/v1/x"][-1:]
+        assert event["duration_ms"] == 2.0
+
+    def test_record_action_latency_feeds_counter_and_histogram(self):
+        from repro.obs.histogram import HISTOGRAMS
+
+        with obs.trace():
+            record_action_latency(0.25)
+            assert obs.METRICS.counter("service.actions") == 1
+            assert HISTOGRAMS["service.action"].count == 1
 
     def test_record_admission(self):
         record_admission(True)

@@ -13,8 +13,9 @@ from unittest import mock
 
 import pytest
 
-from repro import obs
 from repro.cli import main
+from repro.obs import exporter
+from repro.obs.exporter import EXPORTER
 from repro.obs.export import (
     diff_trace_reports,
     render_report_diff,
@@ -27,12 +28,12 @@ from repro.obs.export import (
 def export_dir(tmp_path):
     """A directory populated by one real exporting session."""
     directory = tmp_path / "export"
-    with mock.patch.dict(os.environ, {
-        "REPRO_OBS_EXPORT": str(directory),
-        "REPRO_OBS_EXPORT_INTERVAL": "0",
-    }):
-        assert main(["trace", "--seed", "1"]) == 0
-    obs.sync_env()
+    previous = EXPORTER.force(directory)
+    try:
+        with mock.patch.object(exporter, "EXPORT_INTERVAL_S", 0.0):
+            assert main(["trace", "--seed", "1"]) == 0
+    finally:
+        EXPORTER.force(previous)
     return directory
 
 

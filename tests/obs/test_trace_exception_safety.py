@@ -7,9 +7,6 @@ would silently reparent every span of the *next* traced block under a dead
 ancestor.
 """
 
-import os
-from unittest import mock
-
 import pytest
 
 from repro import obs
@@ -27,14 +24,18 @@ def _clean_tracer():
 
 
 def test_exception_restores_prior_enabled_state():
-    with mock.patch.dict(os.environ, {"REPRO_TRACE": "0"}):
-        TRACER.sync_env()
-        with pytest.raises(RuntimeError):
-            with obs.trace():
-                raise RuntimeError("boom")
-        assert TRACER._override is None
-        assert TRACER.enabled == trace_enabled()
-        assert TRACER.enabled is False
+    TRACER.force(False)
+    with pytest.raises(RuntimeError):
+        with obs.trace():
+            raise RuntimeError("boom")
+    assert TRACER._override is False
+    assert TRACER.enabled is False
+    TRACER.force(None)
+    with pytest.raises(RuntimeError):
+        with obs.trace():
+            raise RuntimeError("boom")
+    assert TRACER._override is None
+    assert TRACER.enabled == trace_enabled()
 
 
 def test_exception_does_not_leave_open_spans_on_the_stack():

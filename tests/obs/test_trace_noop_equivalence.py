@@ -1,12 +1,9 @@
 """Tracing must never change answers.
 
 The observability layer is read-only by design: the same fuzzed session,
-replayed with ``REPRO_TRACE=0`` and ``REPRO_TRACE=1``, must produce
-byte-identical step observations through the differential-oracle differ.
+replayed with tracing off and on, must produce byte-identical step
+observations through the differential-oracle differ.
 """
-
-import os
-from unittest import mock
 
 import pytest
 
@@ -16,26 +13,24 @@ from repro.oracle.fuzzer import generate_trace
 from repro.oracle.replay import REFERENCE_CONFIG, replay_trace
 
 
-def _observations(trace, trace_env):
-    with mock.patch.dict(os.environ, {"REPRO_TRACE": trace_env}):
-        obs.sync_env()
-        obs.TRACER.reset()
-        obs.METRICS.reset()
-        try:
-            session = replay_trace(trace, REFERENCE_CONFIG)
-        finally:
-            pass
-    obs.sync_env()
+def _observations(trace, tracing):
+    obs.TRACER.force(tracing)
+    obs.TRACER.reset()
+    obs.METRICS.reset()
+    try:
+        session = replay_trace(trace, REFERENCE_CONFIG)
+    finally:
+        obs.TRACER.force(None)
     return session.observations
 
 
 @pytest.mark.parametrize("seed", [0, 3, 11, 42])
 def test_traced_replay_observations_identical(seed):
     trace = generate_trace(seed=seed)
-    untraced = _observations(trace, "0")
-    traced = _observations(trace, "1")
+    untraced = _observations(trace, False)
+    traced = _observations(trace, True)
     divergence = first_divergence(
-        untraced, traced, left="REPRO_TRACE=0", right="REPRO_TRACE=1", kind="obs"
+        untraced, traced, left="tracing off", right="tracing on", kind="obs"
     )
     assert divergence is None
     assert len(untraced) == len(traced) == len(trace)
@@ -44,13 +39,14 @@ def test_traced_replay_observations_identical(seed):
 def test_traced_replay_actually_recorded_spans():
     """Guard the guard: the traced leg really had tracing on."""
     trace = generate_trace(seed=3)
-    with mock.patch.dict(os.environ, {"REPRO_TRACE": "1"}):
-        obs.sync_env()
-        obs.TRACER.reset()
+    obs.TRACER.force(True)
+    obs.TRACER.reset()
+    try:
         replay_trace(trace, REFERENCE_CONFIG)
         recorded = obs.TRACER.span_count()
-    obs.sync_env()
-    obs.TRACER.reset()
+    finally:
+        obs.TRACER.force(None)
+        obs.TRACER.reset()
     assert recorded > 0
 
 

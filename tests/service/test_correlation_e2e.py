@@ -66,7 +66,6 @@ def correlated_stack(monkeypatch):
         TRACER.reset()
         RECORDER.force(None)
         RECORDER.reset()
-        obs.sync_env()
 
 
 def _query(db, seed, edges=5):
